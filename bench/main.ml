@@ -395,9 +395,9 @@ let stop_telemetry = function
 
 let () =
   let opts = parse_args () in
-  (* all phase timings (Timer, Span, manifest wall_s) read bechamel's
+  (* all phase timings (duration histograms, Span, manifest wall_s) read bechamel's
      CLOCK_MONOTONIC stub instead of Unix.gettimeofday from here on *)
-  Sf_obs.Timer.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
+  Sf_obs.Clock.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
   (match opts.worker_connect with
   | Some connect ->
     (* an experiment worker spawned by --workers: serve assignments and

@@ -41,7 +41,7 @@ let term =
     Arg.(
       value & flag
       & info [ "no-obs" ]
-          ~doc:"Disable all instrumentation (counters, timers, spans, trace events)")
+          ~doc:"Disable all instrumentation (counters, histograms, spans, trace events)")
   in
   let trace =
     Arg.(
@@ -156,7 +156,7 @@ let stop_telemetry session =
 let start ?process (t : t) =
   (* phase timings must not depend on Unix.gettimeofday: inject
      bechamel's CLOCK_MONOTONIC stub before anything reads the clock *)
-  Sf_obs.Timer.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
+  Sf_obs.Clock.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
   (match t.jobs with
   | Some j when j < 1 -> invalid_arg "--jobs: need at least 1"
   | Some j -> Sf_parallel.Pool.set_default_jobs j
@@ -230,6 +230,9 @@ let finish (t : t) session ?(extra = fun () -> []) ~tool ~seed ~mode code =
   match t.metrics with
   | None -> code
   | Some path -> (
+    (* a tool whose body opens no span (sfserve, sfload) would otherwise
+       leave the gc.* and proc.* gauges unset in its manifest *)
+    Sf_obs.Gc_sample.sample ~trace:false ();
     match
       Sf_obs.Export.write_manifest_checked
         ~extra:
@@ -267,3 +270,34 @@ let with_session (t : t) ?process ?extra ~tool ~seed ~mode body =
     stop_telemetry session;
     close_sinks session;
     raise exn
+
+(* the commit of the checkout, or None outside git (or without git);
+   git's own complaints go to /dev/null *)
+let git_head () =
+  match
+    let rd, wr = Unix.pipe ~cloexec:true () in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+    let pid =
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close wr;
+          Unix.close null)
+        (fun () ->
+          Unix.create_process "git" [| "git"; "rev-parse"; "--verify"; "HEAD" |] Unix.stdin wr
+            null)
+    in
+    let ic = Unix.in_channel_of_descr rd in
+    let line = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_line ic) in
+    (line, snd (Unix.waitpid [] pid))
+  with
+  | Some line, Unix.WEXITED 0 when String.trim line <> "" -> Some (String.trim line)
+  | _ -> None
+  | exception Unix.Unix_error _ -> None
+
+let resolve_commit ?explicit () =
+  let given = function Some s when s <> "" -> Some s | _ -> None in
+  match
+    List.find_map given [ explicit; Sys.getenv_opt "GITHUB_SHA"; Sys.getenv_opt "SFBENCH_COMMIT" ]
+  with
+  | Some c -> Some c
+  | None -> git_head ()

@@ -68,3 +68,10 @@ val with_session :
     Re-raises whatever [body] raises, after dumping the flight
     recorder and closing the sinks (a partial trace file is still
     written). *)
+
+val resolve_commit : ?explicit:string -> unit -> string option
+(** The commit id stamped into a bench file: [explicit] (the caller's
+    [--commit]), else [GITHUB_SHA], else [SFBENCH_COMMIT], else
+    [git rev-parse HEAD] of the working directory; empty values are
+    skipped. [None] when nothing resolves — the caller then refuses to
+    write the file rather than record an unattributable run. *)

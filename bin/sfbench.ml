@@ -15,17 +15,6 @@ open Cmdliner
 
 let default_dir = "bench/history"
 
-(* the commit hash is impure context, so it enters here at the CLI
-   layer and never inside lib/perf: CI exports GITHUB_SHA, local runs
-   can set SFBENCH_COMMIT or pass --commit *)
-let default_commit () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-    match Sys.getenv_opt "SFBENCH_COMMIT" with
-    | Some s when s <> "" -> s
-    | _ -> "unknown")
-
 let default_date () =
   let tm = Unix.gmtime (Unix.time ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -52,60 +41,72 @@ let record quick seed repeats no_micro no_phases out commit date (obs : Obs_cli.
   let mode = if quick then "quick" else "full" in
   Obs_cli.with_session obs ~tool:"sfbench" ~seed ~mode @@ fun () ->
   if no_micro && no_phases then failwith "--no-micro and --no-phases leave nothing to record";
-  let commit = match commit with Some c -> c | None -> default_commit () in
-  let date = match date with Some d -> d | None -> default_date () in
-  let micro =
-    if no_micro then []
-    else begin
-      Printf.eprintf "running %s microbenchmarks...\n%!" mode;
-      Sf_perf.Suite.run_micro ~quick ()
-    end
-  in
-  let phases =
-    if no_phases then []
-    else begin
-      Printf.eprintf "running experiment phases (%d repeat(s))...\n%!" repeats;
-      Sf_perf.Suite.run_phases ~quick ~seed ~repeats
-    end
-  in
-  let benchmarks =
-    List.map
-      (fun (name, samples) -> { Sf_perf.Bench_file.name; unit_label = "ns"; samples })
-      (micro @ phases)
-  in
-  let file =
-    {
-      Sf_perf.Bench_file.commit;
-      date;
-      host = Sf_perf.Bench_file.current_host ();
-      jobs = Sf_parallel.Pool.default_jobs ();
-      seed;
-      mode;
-      benchmarks;
-    }
-  in
-  mkdir_p out;
-  let index = Sf_perf.Bench_file.next_index ~dir:out in
-  let path = Filename.concat out (Sf_perf.Bench_file.filename index) in
-  Sf_perf.Bench_file.write ~path file;
-  print_string
-    (Sf_stats.Table.render
-       ~aligns:[ Sf_stats.Table.Left; Sf_stats.Table.Right; Sf_stats.Table.Right ]
-       ~headers:[ "benchmark"; "samples"; "median" ]
-       ~rows:
-         (List.map
-            (fun (b : Sf_perf.Bench_file.benchmark) ->
-              [
-                b.Sf_perf.Bench_file.name;
-                string_of_int (Array.length b.Sf_perf.Bench_file.samples);
-                Sf_perf.Compare.fmt_ns (Sf_stats.Quantile.median b.Sf_perf.Bench_file.samples);
-              ])
-            benchmarks)
-       ());
-  Printf.printf "recorded %d benchmark(s) to %s (commit %s, %s, jobs %d)\n"
-    (List.length benchmarks) path commit mode
-    (Sf_parallel.Pool.default_jobs ());
-  0
+  (* the commit hash is impure context, so it enters here at the CLI
+     layer and never inside lib/perf; resolved before the suite runs so
+     a run that could not be written is not run at all *)
+  match Obs_cli.resolve_commit ?explicit:commit () with
+  | None ->
+    prerr_endline
+      "sfbench record: no commit id: pass --commit, set GITHUB_SHA or SFBENCH_COMMIT, or run \
+       inside a git checkout; no bench file written";
+    2
+  | Some commit when not (Sf_perf.Bench_file.valid_commit commit) ->
+    Printf.eprintf "sfbench record: %S is not a commit id; no bench file written\n" commit;
+    2
+  | Some commit ->
+    let date = match date with Some d -> d | None -> default_date () in
+    let micro =
+      if no_micro then []
+      else begin
+        Printf.eprintf "running %s microbenchmarks...\n%!" mode;
+        Sf_perf.Suite.run_micro ~quick ()
+      end
+    in
+    let phases =
+      if no_phases then []
+      else begin
+        Printf.eprintf "running experiment phases (%d repeat(s))...\n%!" repeats;
+        Sf_perf.Suite.run_phases ~quick ~seed ~repeats
+      end
+    in
+    let benchmarks =
+      List.map
+        (fun (name, samples) -> { Sf_perf.Bench_file.name; unit_label = "ns"; samples })
+        (micro @ phases)
+    in
+    let file =
+      {
+        Sf_perf.Bench_file.commit;
+        date;
+        host = Sf_perf.Bench_file.current_host ();
+        jobs = Sf_parallel.Pool.default_jobs ();
+        seed;
+        mode;
+        benchmarks;
+      }
+    in
+    mkdir_p out;
+    let index = Sf_perf.Bench_file.next_index ~dir:out in
+    let path = Filename.concat out (Sf_perf.Bench_file.filename index) in
+    Sf_perf.Bench_file.write ~path file;
+    print_string
+      (Sf_stats.Table.render
+         ~aligns:[ Sf_stats.Table.Left; Sf_stats.Table.Right; Sf_stats.Table.Right ]
+         ~headers:[ "benchmark"; "samples"; "median" ]
+         ~rows:
+           (List.map
+              (fun (b : Sf_perf.Bench_file.benchmark) ->
+                [
+                  b.Sf_perf.Bench_file.name;
+                  string_of_int (Array.length b.Sf_perf.Bench_file.samples);
+                  Sf_perf.Compare.fmt_ns (Sf_stats.Quantile.median b.Sf_perf.Bench_file.samples);
+                ])
+              benchmarks)
+         ());
+    Printf.printf "recorded %d benchmark(s) to %s (commit %s, %s, jobs %d)\n"
+      (List.length benchmarks) path commit mode
+      (Sf_parallel.Pool.default_jobs ());
+    0
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
@@ -209,7 +210,7 @@ let no_micro_arg =
   Arg.(value & flag & info [ "no-micro" ] ~doc:"Skip the bechamel microbenchmarks")
 
 let no_phases_arg =
-  Arg.(value & flag & info [ "no-phases" ] ~doc:"Skip the experiment phase timers")
+  Arg.(value & flag & info [ "no-phases" ] ~doc:"Skip the experiment phase timings")
 
 let out_arg =
   Arg.(
@@ -224,7 +225,8 @@ let commit_arg =
     & info [ "commit" ] ~docv:"HASH"
         ~doc:
           "Commit recorded in the file. Default: $(b,GITHUB_SHA), else \
-           $(b,SFBENCH_COMMIT), else $(b,unknown)")
+           $(b,SFBENCH_COMMIT), else $(b,git rev-parse HEAD); when none resolves, \
+           $(b,record) exits 2 and writes no file")
 
 let date_arg =
   Arg.(

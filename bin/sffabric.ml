@@ -242,7 +242,7 @@ let worker_main dir connect ckpt_every fault_rate corpus =
      from Proto.Progress), and the same monotonic clock the
      coordinator injects, so relayed trace timestamps land on one
      comparable axis in the merged timeline *)
-  Sf_obs.Timer.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
+  Sf_obs.Clock.set_clock (fun () -> Int64.to_float (Monotonic_clock.now ()) /. 1e9);
   Sf_obs.Progress.set_enabled false;
   Sf_store.Corpus.configure ?dir:corpus ();
   match Fab.Worker.main ~dir ~connect ~fault_rate ~ckpt_every () with

@@ -122,6 +122,15 @@ let run server requests rate connections concurrency mix target budget
     end;
     code
   end
+  else
+  (* a bench file needs provenance: resolve the commit before the run *)
+  let commit = if bench_file = None then None else Obs_cli.resolve_commit () in
+  if bench_file <> None && commit = None then begin
+    prerr_endline
+      "sfload: --bench needs a commit id: set GITHUB_SHA or SFBENCH_COMMIT, or run inside \
+       a git checkout";
+    2
+  end
   else begin
   let cfg =
     Sf_serve.Load.config ~rate ~connections ~concurrency ~mix ~target ?budget
@@ -136,7 +145,7 @@ let run server requests rate connections concurrency mix target budget
   Option.iter
     (fun path ->
       Sf_perf.Bench_file.write ~path
-        (Sf_serve.Load.to_bench ~date:(iso_utc_now ()) ~commit:"unknown"
+        (Sf_serve.Load.to_bench ~date:(iso_utc_now ()) ~commit:(Option.get commit)
            ~mode:"load" o);
       Printf.printf "wrote bench file %s\n" path)
     bench_file;

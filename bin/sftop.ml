@@ -85,13 +85,12 @@ let kind_of m = Option.bind (Json.member "kind" m) Json.as_str
 let num field m = Option.bind (Json.member field m) Json.as_num
 
 (* "gen.mori.vertices" -> that metric's natural scalar;
-   "gen.mori.build_s.total_s" -> an explicit facet of the base metric *)
+   "gen.mori.build_us.sum" -> an explicit facet of the base metric *)
 let series_value metrics name =
   let value_of m = function
     | "" -> (
       match kind_of m with
       | Some ("counter" | "gauge") -> num "value" m
-      | Some "timer" -> num "total_s" m
       | Some "histogram" -> num "count" m
       | _ -> None)
     | facet -> num facet m
@@ -120,11 +119,6 @@ let fmt_num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.4g" v
 
-let fmt_seconds s =
-  if s >= 1. then Printf.sprintf "%.2f s" s
-  else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
-  else Printf.sprintf "%.0f us" (s *. 1e6)
-
 let is_bytes_gauge name =
   (* suffix convention: *.bytes / *_bytes gauges render human-readable *)
   let n = String.length name in
@@ -149,16 +143,15 @@ let render_dashboard ?prev ~path cur =
       | None -> "-")
     | _ -> "-"
   in
-  let counters, timers, gauges, histos =
+  let counters, gauges, histos =
     List.fold_left
-      (fun (cs, ts, gs, hs) (name, m) ->
+      (fun (cs, gs, hs) (name, m) ->
         match kind_of m with
-        | Some "counter" -> ((name, m) :: cs, ts, gs, hs)
-        | Some "timer" -> (cs, (name, m) :: ts, gs, hs)
-        | Some "gauge" -> (cs, ts, (name, m) :: gs, hs)
-        | Some "histogram" -> (cs, ts, gs, (name, m) :: hs)
-        | _ -> (cs, ts, gs, hs))
-      ([], [], [], []) cur.s_metrics
+        | Some "counter" -> ((name, m) :: cs, gs, hs)
+        | Some "gauge" -> (cs, (name, m) :: gs, hs)
+        | Some "histogram" -> (cs, gs, (name, m) :: hs)
+        | _ -> (cs, gs, hs))
+      ([], [], []) cur.s_metrics
   in
   let rev_rows f l = List.rev_map f l in
   let open Sf_stats.Table in
@@ -180,22 +173,6 @@ let render_dashboard ?prev ~path cur =
             let v = Option.value ~default:0. (num "value" m) in
             [ name; fmt_num v; rate name v ])
           (List.filter (fun (_, m) -> num "value" m <> Some 0.) counters)));
-  Buffer.add_char b '\n';
-  Buffer.add_string b
-    (table [ Left; Right; Right; Right; Right ]
-       [ "timer"; "count"; "total"; "mean"; "rate" ]
-       (rev_rows
-          (fun (name, m) ->
-            let count = Option.value ~default:0. (num "count" m) in
-            let total = Option.value ~default:0. (num "total_s" m) in
-            [
-              name;
-              fmt_num count;
-              fmt_seconds total;
-              fmt_seconds (Option.value ~default:0. (num "mean_s" m));
-              rate (name ^ ".count") count;
-            ])
-          (List.filter (fun (_, m) -> num "count" m <> Some 0.) timers)));
   Buffer.add_char b '\n';
   Buffer.add_string b
     (table [ Left; Right; Right; Right; Right; Right ]
@@ -266,22 +243,6 @@ let render_fleet ?prev snaps =
             | Some v when v <> 0. -> Some [ name; label; fmt_num v; rate label name v ]
             | _ -> None)
           (rows_of "counter")));
-  Buffer.add_char b '\n';
-  Buffer.add_string b
-    (table [ Left; Left; Right; Right; Right ]
-       [ "timer"; "proc"; "count"; "total"; "mean" ]
-       (List.filter_map
-          (fun (name, label, m) ->
-            match num "count" m with
-            | Some c when c <> 0. ->
-              Some
-                [
-                  name; label; fmt_num c;
-                  fmt_seconds (Option.value ~default:0. (num "total_s" m));
-                  fmt_seconds (Option.value ~default:0. (num "mean_s" m));
-                ]
-            | _ -> None)
-          (rows_of "timer")));
   Buffer.add_char b '\n';
   Buffer.add_string b
     (table [ Left; Left; Right; Right; Right; Right; Right ]
@@ -610,8 +571,8 @@ let plot_cmd =
       & info [ "series"; "s" ] ~docv:"NAME"
           ~doc:
             "Series to plot (repeatable): a metric name plots its natural scalar \
-             (counter/gauge value, timer total, histogram count); suffix a facet for \
-             the rest, e.g. $(b,gen.mori.build_s.mean_s) or \
+             (counter/gauge value, histogram count); suffix a facet for \
+             the rest, e.g. $(b,gen.mori.build_us.sum) or \
              $(b,search.requests_per_trial.p95)")
   in
   let width = Arg.(value & opt int 72 & info [ "width" ] ~docv:"COLS" ~doc:"Plot width") in

@@ -136,8 +136,8 @@ let run_all ?jobs ~quick ~seed entries =
   Sf_parallel.Pool.with_pool ?jobs (fun pool ->
       Sf_parallel.Pool.map pool
         (fun e ->
-          let t0 = Sf_obs.Timer.now_s () in
+          let t0 = Sf_obs.Clock.now_s () in
           let result = e.run ~quick ~seed in
-          (e, result, Sf_obs.Timer.now_s () -. t0))
+          (e, result, Sf_obs.Clock.now_s () -. t0))
         arr)
   |> Array.to_list

@@ -23,7 +23,7 @@ module Trace = Sf_obs.Trace
 
 let c_shards_run = Registry.counter "fabric.shards_run"
 let c_ckpt_writes = Registry.counter "fabric.ckpt_writes"
-let t_ckpt_write = Registry.timer "fabric.ckpt_write_s"
+let h_ckpt_write = Registry.histo "fabric.ckpt_write_us"
 
 (* --- telemetry relay ------------------------------------------------ *)
 
@@ -137,7 +137,7 @@ let run_shard ~dir ~grid_crc (plan : Grid.plan) ~shard ?(fault_rate = 0.) ?(ckpt
           c_counters = counters;
         }
       in
-      Sf_obs.Timer.time t_ckpt_write (fun () -> Ckpt.write ~path c);
+      Sf_obs.Histo.time h_ckpt_write (fun () -> Ckpt.write ~path c);
       Sf_obs.Counter.incr c_ckpt_writes;
       if Trace.active () then
         Trace.emit "fabric.ckpt" Trace.Instant

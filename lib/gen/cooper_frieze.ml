@@ -5,7 +5,7 @@ module Vec = Sf_graph.Vec
 (* Observability: NEW/OLD step mix and degree-update costs
    (doc/OBSERVABILITY.md). The out-degree histogram records how many
    edges each step had to wire — the per-step degree-update cost. *)
-let obs_build_timer = Sf_obs.Registry.timer "gen.cf.build_s"
+let obs_build_us = Sf_obs.Registry.histo "gen.cf.build_us"
 let obs_new_steps = Sf_obs.Registry.counter "gen.cf.steps.new"
 let obs_old_steps = Sf_obs.Registry.counter "gen.cf.steps.old"
 let obs_edges = Sf_obs.Registry.counter "gen.cf.edges"
@@ -137,7 +137,7 @@ let check params =
   | Error msg -> invalid_arg ("Cooper_frieze: " ^ msg)
 
 let timed_build f =
-  if Sf_obs.Registry.enabled () then Sf_obs.Timer.time obs_build_timer f else f ()
+  if Sf_obs.Registry.enabled () then Sf_obs.Histo.time obs_build_us f else f ()
 
 let checkpoint st =
   Sf_obs.Trace.instant "gen.cf.checkpoint"

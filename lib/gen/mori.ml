@@ -5,7 +5,7 @@ module Vec = Sf_graph.Vec
 (* Observability: attachment-step accounting (doc/OBSERVABILITY.md).
    The father-age histogram records which vertex each arrival attached
    to — the measured face of the age-degree law behind Lemma 2. *)
-let obs_build_timer = Sf_obs.Registry.timer "gen.mori.build_s"
+let obs_build_us = Sf_obs.Registry.histo "gen.mori.build_us"
 let obs_vertices = Sf_obs.Registry.counter "gen.mori.vertices"
 let obs_pref_steps = Sf_obs.Registry.counter "gen.mori.steps.pref"
 let obs_unif_steps = Sf_obs.Registry.counter "gen.mori.steps.unif"
@@ -23,7 +23,7 @@ let check_params ~p ~t =
    preferential branch needs no filtering. *)
 let grow rng ~p ~t ~restrict =
   let obs = Sf_obs.Registry.enabled () in
-  if obs then Sf_obs.Timer.start obs_build_timer;
+  let t0 = if obs then Sf_obs.Clock.now_s () else 0. in
   let tracing = Sf_obs.Trace.active () in
   (* at most 8 growth checkpoints per build, so tracing a microbench
      full of small builds stays proportionate *)
@@ -74,7 +74,7 @@ let grow rng ~p ~t ~restrict =
   if tracing then Sf_obs.Trace.emit "gen.mori.grow" Sf_obs.Trace.End;
   if obs then begin
     Sf_obs.Counter.add obs_vertices t;
-    Sf_obs.Timer.stop obs_build_timer
+    Sf_obs.Histo.observe obs_build_us ((Sf_obs.Clock.now_s () -. t0) *. 1e6)
   end;
   g
 
@@ -100,7 +100,7 @@ let tree rng ~p ~t =
 
 let grow_fathers rng ~p ~t =
   let obs = Sf_obs.Registry.enabled () in
-  if obs then Sf_obs.Timer.start obs_build_timer;
+  let t0 = if obs then Sf_obs.Clock.now_s () else 0. in
   let tracing = Sf_obs.Trace.active () in
   let checkpoint_every = max 1 (t / 8) in
   if tracing then
@@ -132,7 +132,7 @@ let grow_fathers rng ~p ~t =
   if tracing then Sf_obs.Trace.emit "gen.mori.grow" Sf_obs.Trace.End;
   if obs then begin
     Sf_obs.Counter.add obs_vertices t;
-    Sf_obs.Timer.stop obs_build_timer
+    Sf_obs.Histo.observe obs_build_us ((Sf_obs.Clock.now_s () -. t0) *. 1e6)
   end;
   dsts
 

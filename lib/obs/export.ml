@@ -21,10 +21,6 @@ let json_float f = if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
 let metric_json = function
   | Registry.Counter c -> Printf.sprintf {|{"kind":"counter","value":%d}|} (Counter.value c)
-  | Registry.Timer t ->
-    Printf.sprintf {|{"kind":"timer","count":%d,"total_s":%s,"mean_s":%s}|} (Timer.count t)
-      (json_float (Timer.total_s t))
-      (json_float (Timer.mean_s t))
   | Registry.Gauge g ->
     Printf.sprintf {|{"kind":"gauge","value":%s,"set":%b}|}
       (json_float (Registry.gauge_value g))
@@ -65,11 +61,6 @@ let metrics_csv () =
       let kind, value, count, mean =
         match m with
         | Registry.Counter c -> ("counter", string_of_int (Counter.value c), "", "")
-        | Registry.Timer t ->
-          ( "timer",
-            Printf.sprintf "%.9f" (Timer.total_s t),
-            string_of_int (Timer.count t),
-            Printf.sprintf "%.9f" (Timer.mean_s t) )
         | Registry.Gauge g ->
           ("gauge", Printf.sprintf "%.9g" (Registry.gauge_value g), "", "")
         | Registry.Histo h ->

@@ -17,15 +17,14 @@
 
 val metrics_json : unit -> string
 (** The registry as one JSON object: name → [{"kind": ..., ...}].
-    Counters carry [value]; timers [count], [total_s], [mean_s];
-    gauges [value], [set]; histograms [count], [sum], [min], [max],
-    [p50]/[p90]/[p95]/[p99]/[p999] and the non-empty [buckets] as
-    [[upper_bound, count]] pairs. *)
+    Counters carry [value]; gauges [value], [set]; histograms [count],
+    [sum], [min], [max], [p50]/[p90]/[p95]/[p99]/[p999] and the
+    non-empty [buckets] as [[upper_bound, count]] pairs. *)
 
 val metrics_csv : unit -> string
 (** The registry as CSV (header [name,kind,value,count,mean]); the
-    [value] column is the counter value, timer total seconds,
-    gauge value, or histogram sum. Field quoting is
+    [value] column is the counter value, gauge value, or histogram
+    sum. Field quoting is
     {!Sf_stats.Csv.escape_field} (RFC 4180), so metric names containing
     commas or quotes round-trip through {!Sf_stats.Csv.parse}. *)
 

@@ -50,11 +50,6 @@ let render_prometheus_for metrics =
       | Registry.Counter c ->
         line "# TYPE %s_total counter" base;
         line "%s_total %d" base (Counter.value c)
-      | Registry.Timer t ->
-        line "# TYPE %s_seconds_total counter" base;
-        line "%s_seconds_total %s" base (prom_float (Timer.total_s t));
-        line "# TYPE %s_count counter" base;
-        line "%s_count %d" base (Timer.count t)
       | Registry.Gauge g ->
         if Registry.gauge_set g then begin
           line "# TYPE %s gauge" base;
@@ -77,7 +72,7 @@ let render_prometheus () = render_prometheus_for (Registry.all ())
 
 let render_json ~scrapes () =
   Printf.sprintf {|{"ts":%s,"scrapes":%d,"metrics":%s}|}
-    (Export.json_float (Timer.now_s ()))
+    (Export.json_float (Clock.now_s ()))
     scrapes (Export.metrics_json ())
 
 (* --- the socket listener ------------------------------------------- *)

@@ -23,9 +23,8 @@ val sanitize : string -> string
 val render_prometheus_for : (string * Registry.metric) list -> string
 (** Prometheus text exposition of an explicit metric list (the golden
     test renders a fixed list for byte-stable output): counters as
-    [_total], timers as [_seconds_total] + [_count], set gauges
-    verbatim, histograms as summaries with [quantile] labels and
-    [_sum]/[_count]. Unset gauges are omitted. *)
+    [_total], set gauges verbatim, histograms as summaries with
+    [quantile] labels and [_sum]/[_count]. Unset gauges are omitted. *)
 
 val render_prometheus : unit -> string
 (** {!render_prometheus_for} over {!Registry.all}. *)

@@ -86,6 +86,12 @@ let observe t v =
 
 let observe_int t v = observe t (float_of_int v)
 
+(* clock steps under gettimeofday can make an interval negative; clamp
+   so a duration never lands below zero *)
+let time t f =
+  let t0 = Clock.now_s () in
+  Fun.protect ~finally:(fun () -> observe t (Float.max 0. (Clock.now_s () -. t0) *. 1e6)) f
+
 let merge_direct ~into:t src =
   if src.count > 0 then begin
     Array.iteri (fun i c -> if c > 0 then t.counts.(i) <- t.counts.(i) + c) src.counts;
@@ -142,7 +148,9 @@ let quantile t q =
          end
        done
      with Stdlib.Exit -> ());
-    !result
+    (* a bucket bound can overshoot the data: never report a quantile
+       outside the observed range *)
+    Float.min t.max_v (Float.max t.min_v !result)
   end
 
 let reset t =

@@ -11,7 +11,10 @@
     This is the observability twin of [Sf_stats.Histogram]: that one
     renders a {e finished} sample for a table, this one is a mutable
     accumulator cheap enough to live inside generators and search
-    loops, exported via {!Export}. *)
+    loops, exported via {!Export}. It is also the one duration
+    metric: phase and hot-path timings are histograms of microseconds
+    fed by {!time}, so each keeps a count, a sum, the extremes and the
+    distribution. *)
 
 type t
 
@@ -26,6 +29,13 @@ val observe : t -> float -> unit
     bucket 0. *)
 
 val observe_int : t -> int -> unit
+
+val time : t -> (unit -> 'a) -> 'a
+(** [time h f] runs [f ()] and observes its elapsed wall time in
+    {e microseconds} on the {!Clock} — one observation, recorded even
+    if [f] raises. Microseconds, not seconds: bucket 0 holds every
+    value [<= 1], so durations in seconds would nearly all share it.
+    A negative interval (a clock step) is recorded as [0]. *)
 
 val count : t -> int
 (** Number of observations. *)
@@ -54,9 +64,11 @@ val buckets : t -> (float * int) list
 
 val quantile : t -> float -> float
 (** [quantile h q] for [q] in [[0, 1]]: the upper bound of the first
-    bucket whose cumulative count reaches [q * count] — an upper
-    estimate with relative error bounded by the bucket base. [nan]
-    when empty. @raise Invalid_argument if [q] is outside [[0,1]]. *)
+    bucket whose cumulative count reaches [q * count], clamped to
+    [[min_value h, max_value h]] — an upper estimate with relative
+    error bounded by the bucket base that never exceeds the largest
+    observation. [nan] when empty.
+    @raise Invalid_argument if [q] is outside [[0,1]]. *)
 
 val reset : t -> unit
 

@@ -23,14 +23,14 @@ type t = {
 
 let create ?(out = stderr) ~label ~total () =
   if total < 0 then invalid_arg "Progress.create: negative total";
-  { out; label; total; start = Timer.now_s (); completed = 0; widest = 0; finished = false }
+  { out; label; total; start = Clock.now_s (); completed = 0; widest = 0; finished = false }
 
 let fmt_seconds s =
   if s >= 60. then Printf.sprintf "%dm%02ds" (int_of_float s / 60) (int_of_float s mod 60)
   else Printf.sprintf "%.1fs" s
 
 let line t ~detail =
-  let elapsed = Float.max 0. (Timer.now_s () -. t.start) in
+  let elapsed = Float.max 0. (Clock.now_s () -. t.start) in
   let counts =
     if t.total > 0 then Printf.sprintf "%d/%d" t.completed t.total
     else string_of_int t.completed

@@ -1,6 +1,5 @@
 type metric =
   | Counter of Counter.t
-  | Timer of Timer.t
   | Histo of Histo.t
   | Gauge of gauge
 
@@ -27,7 +26,6 @@ let enabled () = !enabled_flag
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Timer _ -> "timer"
   | Histo _ -> "histogram"
   | Gauge _ -> "gauge"
 
@@ -65,13 +63,6 @@ let counter name =
       let c = Counter.create () in
       (Counter c, c))
     ~cast:(function Counter c -> Some c | _ -> None)
-
-let timer name =
-  find_or_add name
-    ~make:(fun () ->
-      let t = Timer.create () in
-      (Timer t, t))
-    ~cast:(function Timer t -> Some t | _ -> None)
 
 let histo ?base name =
   find_or_add name
@@ -144,7 +135,6 @@ let reset_all () =
         (fun _ m ->
           match m with
           | Counter c -> Counter.reset c
-          | Timer t -> Timer.reset t
           | Histo h -> Histo.reset h
           | Gauge g ->
             g.g_value <- 0.;

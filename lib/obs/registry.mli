@@ -4,7 +4,7 @@
     initialisation ([let requests = Registry.counter "search.requests"]),
     and update them from hot paths; exporters ({!Export}) walk the
     registry to build run manifests. Names are dotted paths grouped by
-    subsystem — ["search.requests"], ["gen.mori.build_s"],
+    subsystem — ["search.requests"], ["gen.mori.build_us"],
     ["sim.messages"] — catalogued in [doc/OBSERVABILITY.md].
 
     {b Get-or-create.} Requesting an existing name with the same
@@ -36,7 +36,6 @@ val enabled : unit -> bool
     registered as a different kind. *)
 
 val counter : string -> Counter.t
-val timer : string -> Timer.t
 
 val histo : ?base:float -> string -> Histo.t
 (** [base] is only used on first creation. *)
@@ -61,7 +60,7 @@ val gauge_set : gauge -> bool
     barrier in task-index order, so "last write wins" is decided by
     index, not scheduling. Prefer the composed {!Shard} API.
 
-    Get-or-create itself ({!counter}, {!timer}, {!histo}, {!gauge}) is
+    Get-or-create itself ({!counter}, {!histo}, {!gauge}) is
     protected by a mutex and safe to call from any domain — a few
     instrumentation sites register metrics lazily from hot paths. *)
 
@@ -76,7 +75,6 @@ val apply_gauges : gauge_deltas -> unit
 
 type metric =
   | Counter of Counter.t
-  | Timer of Timer.t
   | Histo of Histo.t
   | Gauge of gauge
 

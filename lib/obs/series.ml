@@ -3,7 +3,7 @@
    A {e series} is a fixed-capacity ring of (timestamp, value) points
    for one scalar facet of one metric.  Sampling walks the registry
    and pushes the current value of every facet — counters as their
-   count, timers as [.total_s]/[.count], set gauges as their value,
+   count, set gauges as their value,
    histograms as [.count]/[.sum]/[.p50]/[.p95]/[.p99]/[.p999] — so rolling
    rates, EWMAs and windowed quantiles can be derived from a running
    process without waiting for the end-of-run manifest.
@@ -156,14 +156,11 @@ let sample t =
     Gc_sample.sample ~trace:false ();
     let metrics = Registry.all () in
     locked t (fun () ->
-        let ts = Timer.now_s () in
+        let ts = Clock.now_s () in
         List.iter
           (fun (name, m) ->
             match m with
             | Registry.Counter c -> push t name ~ts ~v:(float_of_int (Counter.value c))
-            | Registry.Timer tm ->
-              push t (name ^ ".total_s") ~ts ~v:(Timer.total_s tm);
-              push t (name ^ ".count") ~ts ~v:(float_of_int (Timer.count tm))
             | Registry.Gauge g ->
               if Registry.gauge_set g then push t name ~ts ~v:(Registry.gauge_value g)
             | Registry.Histo h ->

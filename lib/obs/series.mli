@@ -6,7 +6,6 @@
     the current value of every facet:
 
     - a counter [name] → series [name] (the count);
-    - a timer [name] → [name.total_s] and [name.count];
     - a gauge [name] → [name], only once it has been set;
     - a histogram [name] → [name.count], [name.sum] and (when
       non-empty) [name.p50], [name.p95], [name.p99], [name.p999].

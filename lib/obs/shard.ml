@@ -7,7 +7,6 @@
 
 type t = {
   counters : Counter.deltas;
-  timers : Timer.deltas;
   histos : Histo.deltas;
   gauges : Registry.gauge_deltas;
   events : Trace.event list;
@@ -15,7 +14,6 @@ type t = {
 
 type frame = {
   f_counters : Counter.frame;
-  f_timers : Timer.frame;
   f_histos : Histo.frame;
   f_gauges : Registry.gauge_frame;
   f_events : Trace.frame;
@@ -26,7 +24,6 @@ let capturing = Trace.capturing
 let capture_begin () =
   {
     f_counters = Counter.capture_begin ();
-    f_timers = Timer.capture_begin ();
     f_histos = Histo.capture_begin ();
     f_gauges = Registry.gauge_capture_begin ();
     f_events = Trace.capture_begin ();
@@ -35,7 +32,6 @@ let capture_begin () =
 let capture_end fr =
   {
     counters = Counter.capture_end fr.f_counters;
-    timers = Timer.capture_end fr.f_timers;
     histos = Histo.capture_end fr.f_histos;
     gauges = Registry.gauge_capture_end fr.f_gauges;
     events = Trace.capture_end fr.f_events;
@@ -54,16 +50,15 @@ let capture f =
 
 let merge s =
   Counter.apply s.counters;
-  Timer.apply s.timers;
   Histo.apply s.histos;
   Registry.apply_gauges s.gauges;
   Trace.replay s.events
 
 (* The cross-process sibling of [merge]: what a fabric worker relays
    over the control socket is a named-counter delta list plus its
-   buffered events (Sf_fabric.Relay), not a full shard — timers and
-   histograms stay process-local, and exact totals are reconciled from
-   checkpoints at the end of the run (Sf_fabric.Coordinator). *)
+   buffered events (Sf_fabric.Relay), not a full shard — histograms
+   stay process-local, and exact totals are reconciled from checkpoints
+   at the end of the run (Sf_fabric.Coordinator). *)
 let merge_remote ~proc ~counters ~events =
   List.iter
     (fun (name, v) -> if v > 0 then Counter.add (Registry.counter name) v)

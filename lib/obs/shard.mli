@@ -2,7 +2,7 @@
     single-domain mutable metrics and {!Sf_parallel.Pool}'s worker
     domains.
 
-    The raw metric cells ({!Counter}, {!Timer}, {!Histo}, gauges) and
+    The raw metric cells ({!Counter}, {!Histo}, gauges) and
     the {!Trace} sinks are deliberately plain mutable state — the hot
     paths they instrument cannot afford atomics. Parallel execution
     keeps them safe by {e isolation}, not locking: the pool brackets
@@ -14,17 +14,18 @@
     That fixed merge order is the heart of the determinism contract
     (doc/PARALLELISM.md): counter totals, histogram contents, gauge
     last-writes and trace sequence numbers come out identical for a
-    fixed seed at any job count. Wall-clock quantities (timer totals,
-    event timestamps, span durations) stay truthful and therefore vary
-    run to run.
+    fixed seed at any job count. Wall-clock quantities (the values in
+    duration histograms, event timestamps, span durations) stay
+    truthful and therefore vary run to run; a duration histogram's
+    observation count still merges exactly.
 
     Captures nest: a {!capture} opened while another is in progress
     (a pool used inside a pool task) merges into the {e enclosing}
     shard, and the composition stays deterministic. *)
 
 type t
-(** The observability output of one completed task: counter and timer
-    deltas, histogram shadows, gauge writes, buffered trace events. *)
+(** The observability output of one completed task: counter deltas,
+    histogram shadows, gauge writes, buffered trace events. *)
 
 val capturing : unit -> bool
 (** True while a capture is open on the current domain — i.e. the

@@ -10,7 +10,7 @@ let completed_roots : t list ref = ref []
 let enter name =
   Gc_sample.sample ();
   Trace.emit name Trace.Begin;
-  stack := { o_name = name; o_start = Timer.now_s (); o_kids = [] } :: !stack
+  stack := { o_name = name; o_start = Clock.now_s (); o_kids = [] } :: !stack
 
 let leave () =
   match !stack with
@@ -20,7 +20,7 @@ let leave () =
     let span =
       {
         span_name = o.o_name;
-        duration = Float.max 0. (Timer.now_s () -. o.o_start);
+        duration = Float.max 0. (Clock.now_s () -. o.o_start);
         kids = List.rev o.o_kids;
       }
     in

@@ -80,7 +80,7 @@ let dispatch e =
 
 let emit ?ts ?(args = []) name kind =
   if active () then begin
-    let ts = match ts with Some t -> t | None -> Timer.now_s () in
+    let ts = match ts with Some t -> t | None -> Clock.now_s () in
     let e = { seq = 0; ts; name; kind; args } in
     match !(Domain.DLS.get slot) with
     | Some buf -> buf := e :: !buf

@@ -31,7 +31,7 @@ type kind =
 
 type event = {
   seq : int;  (** 1-based global sequence number, gap-free per process *)
-  ts : float;  (** seconds on the {!Timer.now_s} clock *)
+  ts : float;  (** seconds on the {!Clock.now_s} clock *)
   name : string;  (** dotted event name, same grammar as metric names *)
   kind : kind;
   args : (string * arg) list;  (** small payload, possibly empty *)
@@ -47,7 +47,7 @@ val active : unit -> bool
 val emit : ?ts:float -> ?args:(string * arg) list -> string -> kind -> unit
 (** Emit one event to every attached sink, in attach order. A no-op
     (single branch) when {!active} is false. [ts] overrides the
-    {!Timer.now_s} stamp — for spans reconstructed after the fact from
+    {!Clock.now_s} stamp — for spans reconstructed after the fact from
     recorded clock readings (the server's stage breakdown, the load
     generator's per-request spans); pair such [Begin]/[End] events
     adjacently so renderer span stacks still match them up. *)

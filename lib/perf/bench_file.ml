@@ -142,7 +142,13 @@ let of_json src =
         }
     end
 
+let valid_commit c = c <> "" && c <> "unknown"
+
 let write ~path t =
+  if not (valid_commit t.commit) then
+    invalid_arg
+      (Printf.sprintf "Bench_file.write: commit %S is not a commit id; refusing to write %s"
+         t.commit path);
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json t))
 

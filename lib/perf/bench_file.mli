@@ -36,7 +36,10 @@ type benchmark = {
 }
 
 type t = {
-  commit : string;  (** injected by the caller; ["unknown"] is legal *)
+  commit : string;
+      (** injected by the caller; {!write} refuses an empty or
+          ["unknown"] commit, {!read} still accepts both (old history
+          files say ["unknown"]) *)
   date : string;  (** injected by the caller, ISO-8601 UTC *)
   host : host;
   jobs : int;
@@ -56,7 +59,15 @@ val of_json : string -> (t, string) result
     [jobs] must be positive. Anything else is an [Error] naming the
     offending field. *)
 
+val valid_commit : string -> bool
+(** Whether a commit id can be written: non-empty and not
+    ["unknown"]. *)
+
 val write : path:string -> t -> unit
+(** @raise Invalid_argument unless {!valid_commit} holds for the
+    file's commit: a run without provenance cannot be attributed, so
+    it is never written. *)
+
 val read : path:string -> (t, string) result
 (** [Error] covers unreadable files as well as invalid documents. *)
 

@@ -7,7 +7,7 @@
       the experiment tables (generation, search, simulation, exact
       math). [bench/main.exe] renders their OLS estimates; [sfbench
       record] keeps the {e raw} samples.
-    - {!run_phases}: the experiment phase timers — each registry
+    - {!run_phases}: the experiment phase timings — each registry
       experiment's wall time over repeated full passes, the quantity
       the per-experiment [%.1fs] stamps of the bench harness show.
 

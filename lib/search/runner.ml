@@ -5,7 +5,7 @@
 let obs_runs = Sf_obs.Registry.counter "search.runs"
 let obs_gave_up = Sf_obs.Registry.counter "search.gave_up"
 let obs_budget_exhausted = Sf_obs.Registry.counter "search.budget_exhausted"
-let obs_run_timer = Sf_obs.Registry.timer "search.run_s"
+let obs_run_us = Sf_obs.Registry.histo "search.run_us"
 let obs_requests_per_run = Sf_obs.Registry.histo "search.requests_per_run"
 
 let metric_component s =
@@ -50,7 +50,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
   let continue = ref true in
   let requests_before = Oracle.requests oracle in
   let obs = Sf_obs.Registry.enabled () in
-  if obs then Sf_obs.Timer.start obs_run_timer;
+  let t0 = if obs then Sf_obs.Clock.now_s () else 0. in
   while !continue && (not (stopped stop_at oracle)) && Oracle.requests oracle < budget do
     match stepper () with
     | Strategy.Request_edge (owner, h) -> ignore (Oracle.request_weak oracle ~owner h)
@@ -68,7 +68,7 @@ let run ?budget ?(stop_at = At_target) ~rng (strategy : Strategy.t) oracle =
           ("discovered", Sf_obs.Trace.Int (Oracle.discovered_count oracle));
         ];
   if obs then begin
-    Sf_obs.Timer.stop obs_run_timer;
+    Sf_obs.Histo.observe obs_run_us ((Sf_obs.Clock.now_s () -. t0) *. 1e6);
     let paid = Oracle.requests oracle - requests_before in
     Sf_obs.Counter.incr obs_runs;
     if !gave_up then Sf_obs.Counter.incr obs_gave_up;

@@ -91,10 +91,10 @@ let search ?source ?target ?budget ?(stop_at_neighbor = false) ?ctx ~seed ~strat
   let req =
     Wire.Search { id; strategy; source; target; budget; stop_at_neighbor; ctx }
   in
-  let t0 = Sf_obs.Timer.now_s () in
+  let t0 = Sf_obs.Clock.now_s () in
   let resp = call t req in
   if Sf_obs.Trace.active () then begin
-    let t1 = Sf_obs.Timer.now_s () in
+    let t1 = Sf_obs.Clock.now_s () in
     let args =
       ("id", Sf_obs.Trace.Int id)
       :: (match ctx with Some c -> Sf_obs.Tctx.args c | None -> [])

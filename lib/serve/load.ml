@@ -190,7 +190,7 @@ let run cfg =
     (try
        while !remaining > 0 do
          let resp = Client.recv conn in
-         let now = Sf_obs.Timer.now_s () in
+         let now = Sf_obs.Clock.now_s () in
          (match Wire.response_id resp with
          | id when id >= 1 && id <= cfg.requests ->
            replies.(id - 1) <- Some resp;
@@ -212,14 +212,14 @@ let run cfg =
   let receivers =
     Array.init cfg.connections (fun c -> Thread.create (receiver c) ())
   in
-  let t0 = Sf_obs.Timer.now_s () in
+  let t0 = Sf_obs.Clock.now_s () in
   let sent = ref 0 in
   (try
      for i = 0 to cfg.requests - 1 do
        if open_loop then begin
          let due = t0 +. schedule.(i) in
          let rec wait () =
-           let now = Sf_obs.Timer.now_s () in
+           let now = Sf_obs.Clock.now_s () in
            if now < due then begin
              Thread.delay (Float.min 0.002 (due -. now));
              wait ()
@@ -228,13 +228,13 @@ let run cfg =
          wait ()
        end
        else acquire ();
-       send_at.(i) <- Sf_obs.Timer.now_s ();
+       send_at.(i) <- Sf_obs.Clock.now_s ();
        Client.send conns.(i mod cfg.connections) (Wire.Search reqs.(i));
        incr sent
      done
    with Unix.Unix_error _ | Sys_error _ -> ());
   Array.iter Thread.join receivers;
-  let t_end = Sf_obs.Timer.now_s () in
+  let t_end = Sf_obs.Clock.now_s () in
   Array.iter Client.close conns;
   (* fold the replies, id order *)
   let n_replies = ref 0 in

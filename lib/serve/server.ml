@@ -19,7 +19,7 @@ module Ugraph = Sf_graph.Ugraph
 module Registry = Sf_obs.Registry
 module Counter = Sf_obs.Counter
 module Histo = Sf_obs.Histo
-module Timer = Sf_obs.Timer
+module Clock = Sf_obs.Clock
 module Pool = Sf_parallel.Pool
 module Oracle = Sf_search.Oracle
 module Runner = Sf_search.Runner
@@ -36,27 +36,21 @@ let c_bytes_in = Registry.counter "serve.bytes_in"
 let c_bytes_out = Registry.counter "serve.bytes_out"
 let h_batch = Registry.histo "serve.batch_size"
 let h_latency = Registry.histo "serve.latency_us"
-let t_batch = Registry.timer "serve.batch_s"
+let h_batch_us = Registry.histo "serve.batch_us"
 let g_conns = Registry.gauge "serve.open_connections"
 
 (* Per-request stage breakdown (doc/OBSERVABILITY.md, "Distributed
    tracing"): queue = frame parsed -> batch formed, batch = batch
    formed -> pool slot starts the search, search = the search itself,
-   reply = reply enqueued -> socket drained.  Totals are surfaced in
-   Stats_reply so a remote client can watch where its latency goes. *)
-let t_stage_queue = Registry.timer "serve.stage.queue_s"
-let t_stage_batch = Registry.timer "serve.stage.batch_s"
-let t_stage_search = Registry.timer "serve.stage.search_s"
-let t_stage_reply = Registry.timer "serve.stage.reply_s"
+   reply = reply enqueued -> socket drained.  Totals (histogram sums,
+   in microseconds) are surfaced in Stats_reply so a remote client can
+   watch where its latency goes. *)
 let h_stage_queue = Registry.histo "serve.stage.queue_us"
 let h_stage_batch = Registry.histo "serve.stage.batch_us"
 let h_stage_search = Registry.histo "serve.stage.search_us"
 let h_stage_reply = Registry.histo "serve.stage.reply_us"
 
-let observe_stage tm h dt =
-  let dt = Float.max 0. dt in
-  Timer.add_s tm dt;
-  Histo.observe h (dt *. 1e6)
+let observe_stage h dt = Histo.observe h (Float.max 0. dt *. 1e6)
 
 (* span args for one request's stage: the request id plus, when the
    client sent a trace context, the shared trace id and a per-stage
@@ -220,10 +214,10 @@ let settle_replies c =
   | [] -> ()
   | pending ->
     c.c_pending_replies <- [];
-    let t_flush = Timer.now_s () in
+    let t_flush = Clock.now_s () in
     List.iter
       (fun (t_enq, s) ->
-        observe_stage t_stage_reply h_stage_reply (t_flush -. t_enq);
+        observe_stage h_stage_reply (t_flush -. t_enq);
         if Sf_obs.Trace.active () then begin
           Sf_obs.Trace.emit ~ts:t_enq "serve.stage.reply" Sf_obs.Trace.Begin
             ~args:(stage_args s ~stage:4);
@@ -276,10 +270,10 @@ let stats_reply t id =
       ss_served = t.served;
       ss_errors = t.errors;
       ss_connections = t.accepted;
-      ss_stage_queue_us = int_of_float (Timer.total_s t_stage_queue *. 1e6);
-      ss_stage_batch_us = int_of_float (Timer.total_s t_stage_batch *. 1e6);
-      ss_stage_search_us = int_of_float (Timer.total_s t_stage_search *. 1e6);
-      ss_stage_reply_us = int_of_float (Timer.total_s t_stage_reply *. 1e6);
+      ss_stage_queue_us = int_of_float (Histo.sum h_stage_queue);
+      ss_stage_batch_us = int_of_float (Histo.sum h_stage_batch);
+      ss_stage_search_us = int_of_float (Histo.sum h_stage_search);
+      ss_stage_reply_us = int_of_float (Histo.sum h_stage_reply);
     }
 
 (* One search request, anywhere in the pool: the reply depends only on
@@ -325,7 +319,7 @@ let handle_search t (s : Wire.search) : Wire.response =
             message = Printf.sprintf "budget %d must be >= 1" b;
           }
       | _ ->
-        let t0 = Timer.now_s () in
+        let t0 = Clock.now_s () in
         let rng = Rng.split_at t.master s.id in
         let stop_at = if s.stop_at_neighbor then Runner.At_neighbor else Runner.At_target in
         let oracle =
@@ -341,7 +335,7 @@ let handle_search t (s : Wire.search) : Wire.response =
           else 0
         in
         Counter.incr c_requests;
-        Histo.observe h_latency ((Timer.now_s () -. t0) *. 1e6);
+        Histo.observe h_latency ((Clock.now_s () -. t0) *. 1e6);
         Wire.Search_reply
           {
             Wire.sr_id = s.id;
@@ -382,7 +376,7 @@ let parse_conn t c acc =
           enqueue c
             (Wire.Error { err_id = 0; code = Wire.Bad_frame; message = E.to_string e });
           go next acc
-        | Wire.Search s -> go next ((c, s, Timer.now_s ()) :: acc)
+        | Wire.Search s -> go next ((c, s, Clock.now_s ()) :: acc)
         | Wire.Ping id ->
           enqueue c (Wire.Pong id);
           go next acc
@@ -412,17 +406,17 @@ let run_batch t batch =
   if k > 0 then begin
     Counter.incr c_batches;
     Histo.observe_int h_batch k;
-    let t_bstart = Timer.now_s () in
+    let t_bstart = Clock.now_s () in
     let replies =
-      Timer.time t_batch (fun () ->
+      Histo.time h_batch_us (fun () ->
           Pool.mapi t.pool k (fun i ->
               let _, s, t_arr = batch.(i) in
               (* stage observations and spans happen inside the task's
                  Shard capture: merged in index order at the join, so
                  counts and the event sequence stay deterministic *)
-              let t_sstart = Timer.now_s () in
-              observe_stage t_stage_queue h_stage_queue (t_bstart -. t_arr);
-              observe_stage t_stage_batch h_stage_batch (t_sstart -. t_bstart);
+              let t_sstart = Clock.now_s () in
+              observe_stage h_stage_queue (t_bstart -. t_arr);
+              observe_stage h_stage_batch (t_sstart -. t_bstart);
               let traced = Sf_obs.Trace.active () in
               if traced then begin
                 Sf_obs.Trace.emit ~ts:t_arr "serve.stage.queue" Sf_obs.Trace.Begin
@@ -435,8 +429,8 @@ let run_batch t batch =
                   ~args:(stage_args s ~stage:3)
               end;
               let reply = handle_search t s in
-              let t_done = Timer.now_s () in
-              observe_stage t_stage_search h_stage_search (t_done -. t_sstart);
+              let t_done = Clock.now_s () in
+              observe_stage h_stage_search (t_done -. t_sstart);
               if traced then
                 Sf_obs.Trace.emit ~ts:t_done "serve.stage.search" Sf_obs.Trace.End;
               reply))
@@ -446,7 +440,7 @@ let run_batch t batch =
       (fun i reply ->
         let c, s, _ = batch.(i) in
         enqueue c reply;
-        c.c_pending_replies <- (Timer.now_s (), s) :: c.c_pending_replies)
+        c.c_pending_replies <- (Clock.now_s (), s) :: c.c_pending_replies)
       replies
   end
 

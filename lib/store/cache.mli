@@ -25,7 +25,7 @@
 
     {b Instrumentation.} [cache.hit], [cache.miss], [cache.evict],
     [cache.corrupt] counters, [cache.hit]/[cache.miss]/[cache.corrupt]
-    trace instants, plus the [store.read_s]/[store.write_s] timers of
+    trace instants, plus the [store.read_us]/[store.write_us] histograms of
     {!Codec} underneath. All operations are serialised on an internal
     mutex, so a cache may be shared by every domain of a
     {!Sf_parallel.Pool}; counters tick inside the per-task capture and

@@ -8,8 +8,8 @@ let version = 1
 (* flags byte *)
 let flag_permutation = 0x01
 
-let obs_read_timer = Sf_obs.Registry.timer "store.read_s"
-let obs_write_timer = Sf_obs.Registry.timer "store.write_s"
+let obs_read_us = Sf_obs.Registry.histo "store.read_us"
+let obs_write_us = Sf_obs.Registry.histo "store.write_us"
 let obs_bytes_read = Sf_obs.Registry.counter "store.bytes_read"
 let obs_bytes_written = Sf_obs.Registry.counter "store.bytes_written"
 
@@ -188,7 +188,7 @@ let trace_file op ~path ~bytes =
       ~args:[ ("path", Sf_obs.Trace.Str path); ("bytes", Sf_obs.Trace.Int bytes) ]
 
 let write_graph_file g ~path =
-  Sf_obs.Timer.time obs_write_timer (fun () ->
+  Sf_obs.Histo.time obs_write_us (fun () ->
       let bytes = encode g in
       let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
       let oc = open_out_bin tmp in
@@ -209,7 +209,7 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic)
 
 let read_graph_file ~path =
-  Sf_obs.Timer.time obs_read_timer (fun () ->
+  Sf_obs.Histo.time obs_read_us (fun () ->
       let bytes = read_file path in
       if Sf_obs.Registry.enabled () then
         Sf_obs.Counter.add obs_bytes_read (String.length bytes);
@@ -219,7 +219,7 @@ let read_graph_file ~path =
 let read_any_file ~path =
   let bytes = read_file path in
   if looks_binary bytes then
-    Sf_obs.Timer.time obs_read_timer (fun () ->
+    Sf_obs.Histo.time obs_read_us (fun () ->
         if Sf_obs.Registry.enabled () then
           Sf_obs.Counter.add obs_bytes_read (String.length bytes);
         trace_file "store.read" ~path ~bytes:(String.length bytes);

@@ -18,8 +18,8 @@
     endpoints, a non-permutation order section and trailing bytes all
     raise {!Codec_error.Error} — nothing is repaired silently.
 
-    Reads and writes are timed into the [store.read_s] /
-    [store.write_s] registry timers and bracketed by [store.read] /
+    Reads and writes are timed into the [store.read_us] /
+    [store.write_us] duration histograms and bracketed by [store.read] /
     [store.write] trace events (doc/OBSERVABILITY.md). *)
 
 val magic : string

@@ -29,8 +29,8 @@ let version = 2
 let header_bytes = 32
 let section_offset_srcs = header_bytes
 
-let obs_map_timer = Sf_obs.Registry.timer "store.map_s"
-let obs_write_timer = Sf_obs.Registry.timer "store.write_giant_s"
+let obs_map_us = Sf_obs.Registry.histo "store.map_us"
+let obs_write_us = Sf_obs.Registry.histo "store.write_giant_us"
 let obs_bytes_mapped = Sf_obs.Registry.counter "store.bytes_mapped"
 let obs_bytes_written = Sf_obs.Registry.counter "store.bytes_written.giant"
 
@@ -59,7 +59,7 @@ let write_section oc crc (buf : Csr.buf) =
 let file_bytes ~n ~m ~inc_len = header_bytes + (4 * ((2 * m) + n + 1 + inc_len)) + 4
 
 let write_ugraph_file u ~path =
-  Sf_obs.Timer.time obs_write_timer (fun () ->
+  Sf_obs.Histo.time obs_write_us (fun () ->
       let csr = Ugraph.csr u in
       let n = csr.Csr.n and m = csr.Csr.m in
       let inc_len = Bigarray.Array1.dim csr.Csr.inc in
@@ -193,7 +193,7 @@ let read_section_swapped fd ~pos dim : Csr.buf =
   out
 
 let map_ugraph_file ?(verify = true) ~path () =
-  Sf_obs.Timer.time obs_map_timer (fun () ->
+  Sf_obs.Histo.time obs_map_us (fun () ->
       with_fd path (fun fd ->
           let h = read_header fd ~path in
           if verify then verify_crc fd ~size:h.size;

@@ -7,7 +7,6 @@
    and never call Registry.clear. *)
 
 module Counter = Sf_obs.Counter
-module Timer = Sf_obs.Timer
 module Histo = Sf_obs.Histo
 module Span = Sf_obs.Span
 module Registry = Sf_obs.Registry
@@ -33,24 +32,29 @@ let test_counter_monotone () =
   Counter.reset c;
   Alcotest.(check int) "reset" 0 (Counter.value c)
 
-(* --- timers ------------------------------------------------------------ *)
+(* --- durations ---------------------------------------------------------- *)
 
-let test_timer_accumulates () =
-  let t = Timer.create () in
-  Alcotest.(check int) "no intervals" 0 (Timer.count t);
-  Alcotest.(check (float 1e-9)) "mean of nothing" 0. (Timer.mean_s t);
-  let x = Timer.time t (fun () -> 21 * 2) in
-  Alcotest.(check int) "payload returned" 42 x;
-  Alcotest.(check int) "one interval" 1 (Timer.count t);
-  Alcotest.(check bool) "non-negative total" true (Timer.total_s t >= 0.);
-  Timer.start t;
-  Timer.stop t;
-  Alcotest.(check int) "start/stop interval" 2 (Timer.count t);
-  Timer.stop t;
-  Alcotest.(check int) "stray stop ignored" 2 (Timer.count t);
-  (* exceptions still record the interval *)
-  (try Timer.time t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "interval recorded on raise" 3 (Timer.count t)
+(* Histo.time under a fake clock: the body advances the clock, so the
+   recorded microseconds are exact *)
+let test_histo_time_records_us () =
+  let fake = ref 100. in
+  Sf_obs.Clock.set_clock (fun () -> !fake);
+  Fun.protect
+    ~finally:(fun () -> Sf_obs.Clock.set_clock Unix.gettimeofday)
+    (fun () ->
+      let h = Histo.create () in
+      let x = Histo.time h (fun () -> fake := !fake +. 1.5; 21 * 2) in
+      Alcotest.(check int) "payload returned" 42 x;
+      Alcotest.(check int) "one interval" 1 (Histo.count h);
+      Alcotest.(check (float 1e-9)) "1.5 s is 1.5e6 us" 1.5e6 (Histo.sum h);
+      (* exceptions still record the interval *)
+      (try Histo.time h (fun () -> fake := !fake +. 0.25; failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check int) "interval recorded on raise" 2 (Histo.count h);
+      Alcotest.(check (float 1e-9)) "raised interval summed" 1.75e6 (Histo.sum h);
+      (* a clock stepping backwards records zero, never a negative *)
+      ignore (Histo.time h (fun () -> fake := !fake -. 3.));
+      Alcotest.(check (float 1e-9)) "backward step clamps to 0" 0. (Histo.min_value h))
 
 (* --- histogram bucket boundaries --------------------------------------- *)
 
@@ -101,11 +105,11 @@ let test_histo_quantile_edges () =
   (* empty: every legal q is nan, including the endpoints *)
   Alcotest.(check bool) "empty q=0 is nan" true (Float.is_nan (Histo.quantile h 0.));
   Alcotest.(check bool) "empty q=1 is nan" true (Float.is_nan (Histo.quantile h 1.));
-  (* single sample: every quantile is that sample's bucket bound *)
+  (* single sample: its bucket bound (8) is clamped to the sample *)
   Histo.observe h 5.;
-  Alcotest.(check (float 1e-9)) "single q=0" 8. (Histo.quantile h 0.);
-  Alcotest.(check (float 1e-9)) "single q=0.5" 8. (Histo.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "single q=1" 8. (Histo.quantile h 1.);
+  Alcotest.(check (float 1e-9)) "single q=0" 5. (Histo.quantile h 0.);
+  Alcotest.(check (float 1e-9)) "single q=0.5" 5. (Histo.quantile h 0.5);
+  Alcotest.(check (float 1e-9)) "single q=1" 5. (Histo.quantile h 1.);
   (* two spread samples: the endpoints bracket, q=0 skips empty
      buckets below the minimum *)
   let h2 = Histo.create () in
@@ -113,12 +117,29 @@ let test_histo_quantile_edges () =
   Histo.observe h2 100.;
   Alcotest.(check (float 1e-9)) "q=0 is the min's bucket" 1. (Histo.quantile h2 0.);
   Alcotest.(check (float 1e-9)) "q=0.5 is the lower bucket" 1. (Histo.quantile h2 0.5);
-  Alcotest.(check (float 1e-9)) "q=1 is the max's bucket" 128. (Histo.quantile h2 1.);
+  Alcotest.(check (float 1e-9)) "q=1 is the max, not its bucket's 128" 100. (Histo.quantile h2 1.);
   (* out-of-range rejections on both sides *)
   Alcotest.check_raises "q below range" (Invalid_argument "Histo.quantile: need q in [0, 1]")
     (fun () -> ignore (Histo.quantile h2 (-0.1)));
   Alcotest.check_raises "q above range" (Invalid_argument "Histo.quantile: need q in [0, 1]")
     (fun () -> ignore (Histo.quantile h2 1.5))
+
+(* The 1M-vertex serve run of the ROADMAP: latencies whose max is
+   702 858 us sit in the (524 288, 1 048 576] bucket, whose upper bound
+   the unclamped quantile reported as p99 *)
+let test_histo_quantile_clamped_to_max () =
+  let h = Histo.create () in
+  for i = 1 to 98 do
+    Histo.observe h (float_of_int (1000 * i))
+  done;
+  Histo.observe h 600_000.;
+  Histo.observe h 702_858.;
+  Alcotest.(check (float 1e-9)) "max" 702_858. (Histo.max_value h);
+  Alcotest.(check bool) "p99 <= max" true (Histo.quantile h 0.99 <= 702_858.);
+  Alcotest.(check (float 1e-9)) "p99 is the max" 702_858. (Histo.quantile h 0.99);
+  Alcotest.(check (float 1e-9)) "p999 is the max" 702_858. (Histo.quantile h 0.999);
+  Alcotest.(check bool) "p50 within [min, max]" true
+    (Histo.quantile h 0.5 >= Histo.min_value h && Histo.quantile h 0.5 <= 702_858.)
 
 (* --- spans -------------------------------------------------------------- *)
 
@@ -178,12 +199,13 @@ let test_registry_get_or_create () =
 
 let test_registry_kind_collision () =
   ignore (Registry.counter "test.obs.collide");
-  Alcotest.check_raises "timer under a counter name"
-    (Invalid_argument "Registry: metric \"test.obs.collide\" already registered as a counter")
-    (fun () -> ignore (Registry.timer "test.obs.collide"));
   Alcotest.check_raises "histogram under a counter name"
     (Invalid_argument "Registry: metric \"test.obs.collide\" already registered as a counter")
-    (fun () -> ignore (Registry.histo "test.obs.collide"))
+    (fun () -> ignore (Registry.histo "test.obs.collide"));
+  ignore (Registry.histo "test.obs.collide_us");
+  Alcotest.check_raises "counter under a histogram name"
+    (Invalid_argument "Registry: metric \"test.obs.collide_us\" already registered as a histogram")
+    (fun () -> ignore (Registry.counter "test.obs.collide_us"))
 
 let test_registry_name_grammar () =
   Alcotest.check_raises "empty name" (Invalid_argument "Registry: empty metric name") (fun () ->
@@ -268,10 +290,11 @@ let test_disabled_counters_freeze_sites () =
 let suite =
   [
     ("counter monotonicity", `Quick, test_counter_monotone);
-    ("timer accumulates", `Quick, test_timer_accumulates);
+    ("histo time records microseconds", `Quick, test_histo_time_records_us);
     ("histogram bucket boundaries", `Quick, test_histo_bucket_boundaries);
     ("histogram quantiles and bases", `Quick, test_histo_quantile_and_base);
     ("histogram quantile edge cases", `Quick, test_histo_quantile_edges);
+    ("histogram quantile clamped to max", `Quick, test_histo_quantile_clamped_to_max);
     ("span nesting and ordering", `Quick, test_span_nesting_and_order);
     ("span exception safety", `Quick, test_span_exception_safety);
     ("span disabled transparency", `Quick, test_span_disabled_is_transparent);

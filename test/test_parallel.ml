@@ -5,7 +5,7 @@
    results, metric totals and the trace stream are identical at any
    job count — scheduling decides when a task runs, never what it
    observes or the order its output lands. Wall-clock quantities
-   (timer seconds, event timestamps) are exempt and never compared.
+   (duration-histogram values, event timestamps) are exempt and never compared.
 
    Domain spawning is real here (the point is cross-domain safety), so
    workloads are kept small: a few dozen trials on double-digit
@@ -14,7 +14,6 @@
 module Pool = Sf_parallel.Pool
 module Shard = Sf_obs.Shard
 module Counter = Sf_obs.Counter
-module Timer = Sf_obs.Timer
 module Histo = Sf_obs.Histo
 module Registry = Sf_obs.Registry
 module Trace = Sf_obs.Trace
@@ -116,13 +115,13 @@ let test_pool_rejects_use_after_shutdown () =
 
 let test_shard_stress_counters_exact () =
   let n_domains = 4 and per_domain = 1_000 in
-  let c = Counter.create () and h = Histo.create () and t = Timer.create () in
+  let c = Counter.create () and h = Histo.create () and d_us = Histo.create () in
   let work d () =
     Shard.capture (fun () ->
         for i = 1 to per_domain do
           Counter.incr c;
           Histo.observe_int h ((d * per_domain) + i);
-          Timer.time t (fun () -> ())
+          Histo.time d_us (fun () -> ())
         done)
   in
   let domains = List.init n_domains (fun d -> Domain.spawn (work d)) in
@@ -136,7 +135,7 @@ let test_shard_stress_counters_exact () =
     (Histo.sum h);
   Alcotest.(check (float 1e-9)) "histogram min" 1. (Histo.min_value h);
   Alcotest.(check (float 1e-9)) "histogram max" (float_of_int total) (Histo.max_value h);
-  Alcotest.(check int) "timer interval count exact" total (Timer.count t)
+  Alcotest.(check int) "duration interval count exact" total (Histo.count d_us)
 
 let test_shard_stress_trace_sink () =
   let n_domains = 4 and per_domain = 250 in

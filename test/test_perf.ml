@@ -426,6 +426,28 @@ let test_committed_baseline_valid () =
     let o = Gate.run Gate.default_policy ~base:f ~cand:f in
     Alcotest.(check bool) "baseline passes against itself" true (Gate.passed o)
 
+(* provenance: the writer refuses a file it could not attribute, the
+   reader still loads history recorded before that rule (BENCH_0003
+   says "unknown") *)
+let test_writer_rejects_unknown_commit () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir (Bench_file.filename 1) in
+      List.iter
+        (fun commit ->
+          Alcotest.(check bool) (Printf.sprintf "%S is no commit id" commit) false
+            (Bench_file.valid_commit commit);
+          (match Bench_file.write ~path (mk_file ~commit [ ("a", [| 1. |]) ]) with
+          | () -> Alcotest.failf "wrote a bench file with commit %S" commit
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool) "no file left behind" false (Sys.file_exists path))
+        [ ""; "unknown" ];
+      Bench_file.write ~path (mk_file ~commit:"abc123" [ ("a", [| 1. |]) ]);
+      Alcotest.(check bool) "a real commit is written" true (Sys.file_exists path));
+  let old = Filename.concat (Filename.dirname baseline_path) "BENCH_0003.json" in
+  match Bench_file.read ~path:old with
+  | Error msg -> Alcotest.failf "old history file unreadable: %s" msg
+  | Ok f -> Alcotest.(check string) "old unknown commit still reads" "unknown" f.Bench_file.commit
+
 let test_committed_baseline_renders () =
   match Bench_file.read ~path:baseline_path with
   | Error msg -> Alcotest.failf "committed baseline invalid: %s" msg
@@ -461,4 +483,5 @@ let suite =
     ("sparkline", `Quick, test_sparkline);
     ("committed baseline valid", `Quick, test_committed_baseline_valid);
     ("committed baseline renders", `Quick, test_committed_baseline_renders);
+    ("bench writer rejects unknown commit", `Quick, test_writer_rejects_unknown_commit);
   ]

@@ -13,7 +13,6 @@ module Expose = Sf_obs.Expose
 module Resource = Sf_obs.Resource
 module Registry = Sf_obs.Registry
 module Counter = Sf_obs.Counter
-module Timer = Sf_obs.Timer
 module Histo = Sf_obs.Histo
 module Export = Sf_obs.Export
 module Flight = Sf_obs.Flight
@@ -157,11 +156,9 @@ let prop_ring_arbitrary_ticks =
 
 let test_sample_facets () =
   let c = Registry.counter "test.telem.hits" in
-  let tm = Registry.timer "test.telem.phase_s" in
   let g = Registry.gauge "test.telem.depth" in
   let h = Registry.histo "test.telem.lat" in
   Counter.add c 7;
-  Timer.time tm (fun () -> ());
   Registry.set_gauge g 2.5;
   Histo.observe h 3.;
   let s = Series.create ~capacity:8 () in
@@ -170,8 +167,6 @@ let test_sample_facets () =
     Option.join (Series.with_ring s name (fun r -> Option.map snd (Series.ring_last r)))
   in
   Alcotest.(check bool) "counter facet" true (last "test.telem.hits" = Some 7.);
-  Alcotest.(check bool) "timer count facet" true (last "test.telem.phase_s.count" = Some 1.);
-  Alcotest.(check bool) "timer total facet" true (last "test.telem.phase_s.total_s" <> None);
   Alcotest.(check bool) "gauge facet" true (last "test.telem.depth" = Some 2.5);
   Alcotest.(check bool) "histo count facet" true (last "test.telem.lat.count" = Some 1.);
   Alcotest.(check bool) "histo p95 facet" true (last "test.telem.lat.p95" <> None);
@@ -213,28 +208,18 @@ let test_sanitize () =
     (Expose.sanitize "a,b/c\"d-1")
 
 (* The exposition grammar, pinned byte for byte over metrics with
-   hand-fed values (a fake timer clock makes the seconds exact). *)
+   hand-fed values. *)
 let test_prometheus_golden () =
   let c = Registry.counter "test.telem.golden.hits" in
-  let tm = Registry.timer "test.telem.golden.build_s" in
   let g = Registry.gauge "test.telem.golden.depth" in
   let h = Registry.histo "test.telem.golden.lat" in
   Counter.add c 42;
-  let fake = ref 0. in
-  Timer.set_clock (fun () -> !fake);
-  Fun.protect
-    ~finally:(fun () -> Timer.set_clock Unix.gettimeofday)
-    (fun () ->
-      Timer.start tm;
-      fake := 1.5;
-      Timer.stop tm);
   Registry.set_gauge g 3.5;
   List.iter (Histo.observe h) [ 1.; 2.; 4. ];
   let rendered =
     Expose.render_prometheus_for
       [
         ("test.telem.golden.hits", Registry.Counter c);
-        ("test.telem.golden.build_s", Registry.Timer tm);
         ("test.telem.golden.depth", Registry.Gauge g);
         ("test.telem.golden.lat", Registry.Histo h);
       ]
@@ -244,10 +229,6 @@ let test_prometheus_golden () =
       [
         "# TYPE sf_test_telem_golden_hits_total counter";
         "sf_test_telem_golden_hits_total 42";
-        "# TYPE sf_test_telem_golden_build_s_seconds_total counter";
-        "sf_test_telem_golden_build_s_seconds_total 1.5";
-        "# TYPE sf_test_telem_golden_build_s_count counter";
-        "sf_test_telem_golden_build_s_count 1";
         "# TYPE sf_test_telem_golden_depth gauge";
         "sf_test_telem_golden_depth 3.5";
         "# TYPE sf_test_telem_golden_lat summary";
