@@ -60,32 +60,34 @@ let run model n p m alpha exponent seed graph_file distances (obs : Obs_cli.t) =
   let mode = match graph_file with Some _ -> "graph-file" | None -> model in
   Obs_cli.with_session obs ~tool:"sfanalyze" ~seed ~mode @@ fun () ->
   let rng = Sf_prng.Rng.of_seed seed in
-  let boxed g = Sf_graph.Ugraph.of_digraph g in
-  let u =
+  let boxed g = Ok (Sf_graph.Ugraph.of_digraph g) in
+  let graph =
     match graph_file with
-    | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
+    | Some path -> Ok (Sf_store.Csr_codec.load_ugraph ~path ())
     | None -> (
-      match model with
-      (* samplewise identical to the legacy path, so reports match
-         old ones draw for draw — just without the boxed detour *)
-      | "mori" -> Sf_gen.Mori.graph_giant rng ~p ~m ~n
-      | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m:(max m 1))
-      | "lcd" -> boxed (Sf_gen.Lcd.generate rng ~n ~m:(max m 1))
-      | "cooper-frieze" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        boxed (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n)
-      | "cooper-frieze-giant" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n
-      | "config" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ())
-      | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
-      | other -> failwith ("unknown model: " ^ other))
+      try
+        match model with
+        | "mori" -> Ok (Sf_gen.Mori.graph_giant rng ~p ~m ~n)
+        | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m:(max m 1))
+        | "lcd" -> boxed (Sf_gen.Lcd.generate rng ~n ~m:(max m 1))
+        | "cooper-frieze" ->
+          let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
+          Ok (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n)
+        | "config" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ())
+        | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
+        | other -> Error ("unknown model: " ^ other)
+      with Invalid_argument msg -> Error msg)
   in
-  report ~distances ~seed u;
-  0
+  match graph with
+  | Error msg ->
+    Printf.eprintf "sfanalyze: %s\n" msg;
+    1
+  | Ok u ->
+    report ~distances ~seed u;
+    0
 
 let model_arg =
-  Arg.(value & opt string "mori" & info [ "model" ] ~doc:"mori | ba | lcd | cooper-frieze | cooper-frieze-giant | config | uniform")
+  Arg.(value & opt string "mori" & info [ "model" ] ~doc:"mori | ba | lcd | cooper-frieze | config | uniform")
 
 let n_arg = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Vertices")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori parameter")

@@ -4,93 +4,51 @@
    Examples:
      sfgen mori -n 10000 -p 0.5 --seed 7 --out g.edges
      sfgen mori -n 10000 -p 0.5 --seed 7 --out g.sfg --format bin
-     sfgen mori -n 10000000 -p 0.5 --engine giant --out g.sfg --format csr
+     sfgen mori -n 10000000 -p 0.5 --out g.sfg --format csr
      sfgen cooper-frieze -n 5000 --alpha 0.9 --stats
      sfgen config -n 100000 --exponent 2.3 --out -
      sfgen kleinberg --side 64 --r 2.0 --dot grid.dot *)
 
 open Cmdliner
 
-(* The giant engines build CSR-backed undirected views and never
-   materialise a boxed Digraph; models without a giant engine always
-   come out boxed.  Everything downstream (stats, writers) handles
-   both. *)
-type built = Boxed of Sf_graph.Digraph.t | Giant of Sf_graph.Ugraph.t
-
-(* --engine auto switches Mori / Cooper-Frieze to the giant engine at
-   this size; explicit --engine giant|legacy overrides.  200k vertices
-   is where the boxed representation's memory (~100 B/vertex plus
-   per-edge boxes) starts to dominate a default container. *)
-let auto_giant_threshold = 200_000
-
-let generate_graph ~model ~engine ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed =
+(* Every model comes out as one CSR-backed undirected view: Mori and
+   Cooper-Frieze grow straight into it, the other models are frozen
+   from their boxed build.  One write/DOT/stats path serves them all.
+   Out-of-range parameters surface as the generator's Invalid_argument
+   and are reported like an unknown model. *)
+let generate_graph ~model ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed =
   let rng = Sf_prng.Rng.of_seed seed in
-  let giant =
-    match engine with
-    | `Giant -> true
-    | `Legacy -> false
-    | `Auto -> n >= auto_giant_threshold
-  in
-  match (model, giant) with
-  | "mori", true -> Ok (Giant (Sf_gen.Mori.graph_giant rng ~p ~m ~n))
-  | "mori", false -> Ok (Boxed (Sf_gen.Mori.graph rng ~p ~m ~n))
-  | "cooper-frieze", true ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-    Ok (Giant (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n))
-  | "cooper-frieze", false ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-    Ok (Boxed (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n))
-  | other, true when engine = `Giant ->
-    Error (`Msg ("model has no giant engine: " ^ other ^ " (mori and cooper-frieze do)"))
-  | "ba", _ -> Ok (Boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m))
-  | "config", _ -> Ok (Boxed (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ()))
-  | "config-giant", _ ->
-    Ok (Boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ~d_min ()))
-  | "kleinberg", _ ->
-    Ok (Boxed (Sf_gen.Kleinberg.generate rng ~side ~r ~q ()).Sf_gen.Kleinberg.graph)
-  | "uniform", _ -> Ok (Boxed (Sf_gen.Uniform_attachment.tree rng ~t:n))
-  | "gnm", _ -> Ok (Boxed (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m)))
-  | other, _ -> Error (`Msg ("unknown model: " ^ other))
+  let boxed g = Ok (Sf_graph.Ugraph.of_digraph g) in
+  try
+    match model with
+    | "mori" -> Ok (Sf_gen.Mori.graph_giant rng ~p ~m ~n)
+    | "cooper-frieze" ->
+      let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
+      Ok (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n)
+    | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m)
+    | "config" -> boxed (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ())
+    | "config-giant" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ~d_min ())
+    | "kleinberg" -> boxed (Sf_gen.Kleinberg.generate rng ~side ~r ~q ()).Sf_gen.Kleinberg.graph
+    | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
+    | "gnm" -> boxed (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m))
+    | other -> Error (`Msg ("unknown model: " ^ other))
+  with Invalid_argument msg -> Error (`Msg msg)
 
-let print_stats g =
-  let u = Sf_graph.Ugraph.of_digraph g in
-  let in_deg = Sf_graph.Metrics.in_degrees g in
-  Printf.printf "vertices:        %s\n" (Sf_stats.Table.fmt_int_grouped (Sf_graph.Digraph.n_vertices g));
-  Printf.printf "edges:           %s\n" (Sf_stats.Table.fmt_int_grouped (Sf_graph.Digraph.n_edges g));
-  Printf.printf "mean degree:     %.2f\n" (Sf_graph.Metrics.mean_degree g);
-  Printf.printf "max in-degree:   %d\n" (Sf_graph.Metrics.max_in_degree g);
-  Printf.printf "max total deg:   %d\n" (Sf_graph.Metrics.max_total_degree g);
-  Printf.printf "self loops:      %d\n" (Sf_graph.Metrics.self_loops g);
-  Printf.printf "parallel edges:  %d\n" (Sf_graph.Metrics.parallel_edges g);
-  Printf.printf "connected:       %b\n" (Sf_graph.Traversal.is_connected u);
-  (try
-     let fit = Sf_stats.Power_law.fit_scan in_deg () in
-     Printf.printf "power-law tail:  gamma=%.2f (x_min=%d, KS=%.3f)\n" fit.Sf_stats.Power_law.alpha
-       fit.Sf_stats.Power_law.x_min fit.Sf_stats.Power_law.ks
-   with Invalid_argument _ -> Printf.printf "power-law tail:  (no admissible fit)\n");
-  Printf.printf "\nlog-binned indegree histogram:\n%s"
-    (try Sf_stats.Histogram.render (Sf_stats.Histogram.logarithmic in_deg ())
-     with Invalid_argument _ -> "(no positive indegrees)\n")
-
-(* Ugraph-native statistics: one pass over the flat endpoint sections,
-   no boxed conversion — a 10M-vertex graph stays a 10M-vertex graph *)
-let print_ugraph_stats u =
+(* one pass over the flat endpoint sections, no boxed conversion — a
+   10M-vertex graph stays a 10M-vertex graph *)
+let print_stats u =
   let module U = Sf_graph.Ugraph in
-  let n = U.n_vertices u and m = U.n_edges u in
-  let in_deg = Array.make n 0 in
-  let self_loops = ref 0 in
-  for id = 0 to m - 1 do
-    let s, d = U.endpoints u id in
-    in_deg.(d - 1) <- in_deg.(d - 1) + 1;
-    if s = d then incr self_loops
-  done;
-  let max_in = Array.fold_left max 0 in_deg in
-  Printf.printf "vertices:        %s\n" (Sf_stats.Table.fmt_int_grouped n);
-  Printf.printf "edges:           %s\n" (Sf_stats.Table.fmt_int_grouped m);
-  Printf.printf "mean degree:     %.2f\n" (2. *. float_of_int m /. float_of_int (max n 1));
-  Printf.printf "max in-degree:   %d\n" max_in;
+  let module M = Sf_graph.Metrics in
+  let in_deg = M.u_in_degrees u in
+  Printf.printf "vertices:        %s\n" (Sf_stats.Table.fmt_int_grouped (U.n_vertices u));
+  Printf.printf "edges:           %s\n" (Sf_stats.Table.fmt_int_grouped (U.n_edges u));
+  Printf.printf "mean degree:     %.2f\n" (M.u_mean_degree u);
+  Printf.printf "max in-degree:   %d\n" (Array.fold_left max 0 in_deg);
+  Printf.printf "max total deg:   %d\n" (Array.fold_left max 0 (M.u_total_degrees u));
   Printf.printf "max degree:      %d\n" (U.max_degree u);
-  Printf.printf "self loops:      %d\n" !self_loops;
+  Printf.printf "self loops:      %d\n" (M.u_self_loops u);
+  Printf.printf "parallel edges:  %d\n" (M.u_parallel_edges u);
+  Printf.printf "connected:       %b\n" (Sf_graph.Traversal.is_connected u);
   Printf.printf "graph memory:    %s bytes (CSR)\n"
     (Sf_stats.Table.fmt_int_grouped (U.memory_bytes u));
   (try
@@ -102,7 +60,8 @@ let print_ugraph_stats u =
     (try Sf_stats.Histogram.render (Sf_stats.Histogram.logarithmic in_deg ())
      with Invalid_argument _ -> "(no positive indegrees)\n")
 
-let ugraph_edge_list u =
+(* the same text as Gio.to_edge_list, read off the CSR sections *)
+let edge_list u =
   let module U = Sf_graph.Ugraph in
   let n = U.n_vertices u and m = U.n_edges u in
   let buf = Buffer.create (16 + (8 * m)) in
@@ -113,102 +72,51 @@ let ugraph_edge_list u =
   done;
   Buffer.contents buf
 
-let write_output built ~out ~format =
-  match (built, out, format) with
-  | _, None, _ -> Ok false
-  | Boxed g, Some "-", `Edges ->
-    print_string (Sf_graph.Gio.to_edge_list g);
+let write_output u ~out ~format =
+  match (out, format) with
+  | None, _ -> Ok false
+  | Some "-", `Edges ->
+    print_string (edge_list u);
     Ok true
-  | Giant u, Some "-", `Edges ->
-    print_string (ugraph_edge_list u);
-    Ok true
-  | Boxed g, Some "-", `Bin ->
-    set_binary_mode_out stdout true;
-    print_string (Sf_store.Codec.encode g);
-    Ok true
-  | Giant u, Some "-", `Bin ->
+  | Some "-", `Bin ->
     set_binary_mode_out stdout true;
     print_string (Sf_store.Codec.encode_ugraph u);
     Ok true
-  | _, Some "-", `Csr -> Error (`Msg "--format csr needs a real --out path (it is written, not streamed)")
-  | Boxed g, Some path, `Edges ->
-    Sf_graph.Gio.write_edge_list g ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Edges ->
-    Out_channel.with_open_bin path (fun oc -> output_string oc (ugraph_edge_list u));
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Boxed g, Some path, `Bin ->
-    Sf_store.Codec.write_graph_file g ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Bin ->
-    Sf_store.Codec.write_graph_file (Sf_store.Codec.digraph_of_ugraph u) ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Boxed g, Some path, `Csr ->
-    Sf_store.Csr_codec.write_ugraph_file (Sf_graph.Ugraph.of_digraph g) ~path;
-    Printf.printf "wrote %s\n" path;
-    Ok true
-  | Giant u, Some path, `Csr ->
-    Sf_store.Csr_codec.write_ugraph_file u ~path;
+  | Some "-", `Csr -> Error (`Msg "--format csr needs a real --out path (it is written, not streamed)")
+  | Some path, format ->
+    (match format with
+    | `Edges -> Out_channel.with_open_bin path (fun oc -> output_string oc (edge_list u))
+    | `Bin -> Sf_store.Codec.write_graph_file (Sf_graph.Ugraph.to_digraph u) ~path
+    | `Csr -> Sf_store.Csr_codec.write_ugraph_file u ~path);
     Printf.printf "wrote %s\n" path;
     Ok true
 
-let run model engine n p m alpha exponent d_min side r q seed out format dot stats
-    (obs : Obs_cli.t) =
+let run model n p m alpha exponent d_min side r q seed out format dot stats (obs : Obs_cli.t) =
   Obs_cli.with_session obs ~tool:"sfgen" ~seed ~mode:model @@ fun () ->
   match
-    generate_graph ~model ~engine ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed
+    Result.bind
+      (generate_graph ~model ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed)
+      (fun u -> Result.map (fun wrote -> (u, wrote)) (write_output u ~out ~format))
   with
   | Error (`Msg msg) ->
     Printf.eprintf "sfgen: %s\n" msg;
     1
-  | Ok built -> (
-    match write_output built ~out ~format with
-    | Error (`Msg msg) ->
-      Printf.eprintf "sfgen: %s\n" msg;
-      1
-    | Ok wrote ->
-      (match (dot, built) with
-      | Some path, Boxed g ->
-        let oc = open_out path in
-        output_string oc (Sf_graph.Gio.to_dot g);
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | Some path, Giant u ->
+  | Ok (u, wrote) ->
+    Option.iter
+      (fun path ->
         (* DOT is for small demo graphs; the boxed detour is fine here *)
-        let oc = open_out path in
-        output_string oc (Sf_graph.Gio.to_dot (Sf_store.Codec.digraph_of_ugraph u));
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      | None, _ -> ());
-      if stats || ((not wrote) && dot = None) then begin
-        match built with
-        | Boxed g -> print_stats g
-        | Giant u -> print_ugraph_stats u
-      end;
-      0)
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Sf_graph.Gio.to_dot (Sf_graph.Ugraph.to_digraph u)));
+        Printf.printf "wrote %s\n" path)
+      dot;
+    if stats || ((not wrote) && dot = None) then print_stats u;
+    0
 
 let model_arg =
   let doc =
     "Model: mori | ba | cooper-frieze | config | config-giant | kleinberg | uniform | gnm"
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL" ~doc)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("auto", `Auto); ("legacy", `Legacy); ("giant", `Giant) ]) `Auto
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Generation engine for mori and cooper-frieze: $(b,giant) builds straight \
-           into flat CSR storage (required beyond a few hundred thousand vertices, \
-           doc/SCALING.md), $(b,legacy) uses the boxed representation, $(b,auto) \
-           (default) picks giant at n >= 200000. The Mori giant engine draws the \
-           identical random sequence as legacy; the cooper-frieze one is equal in \
-           law only.")
 
 let n_arg = Arg.(value & opt int 1000 & info [ "n" ] ~doc:"Number of vertices")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori preferential-attachment weight (0 < p <= 1)")
@@ -241,7 +149,7 @@ let cmd =
   Cmd.v
     (Cmd.info "sfgen" ~doc)
     Term.(
-      const run $ model_arg $ engine_arg $ n_arg $ p_arg $ m_arg $ alpha_arg $ exponent_arg
+      const run $ model_arg $ n_arg $ p_arg $ m_arg $ alpha_arg $ exponent_arg
       $ d_min_arg $ side_arg $ r_arg $ q_arg $ seed_arg $ out_arg $ format_arg $ dot_arg
       $ stats_arg $ Obs_cli.term)
 

@@ -27,27 +27,29 @@ let run model n p m alpha exponent strategy_name source target trials budget see
   Obs_cli.with_session obs ~extra:(fun () -> !extra) ~tool:"sfsearch" ~seed ~mode:model
   @@ fun () ->
   let rng = Sf_prng.Rng.of_seed seed in
-  let graph, default_target =
+  let instance =
     match graph_file with
     | Some path ->
       (* version-sniffing load: SFGB v2 files are mmap-backed CSR (no
          decode pass, doc/SCALING.md), v1 and edge lists decode *)
       let u = Sf_store.Csr_codec.load_ugraph ~path () in
-      (u, Sf_graph.Ugraph.n_vertices u)
+      Ok (u, Sf_graph.Ugraph.n_vertices u)
     | None -> (
-      match model with
-      | "mori" -> Sf_core.Searchability.mori_instance ~p ~m rng n
-      | "cooper-frieze" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_core.Searchability.cooper_frieze_instance params rng n
-      | "cooper-frieze-giant" ->
-        let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-        Sf_core.Searchability.cooper_frieze_giant_instance params rng n
-      | "config" -> Sf_core.Searchability.config_model_instance ~exponent rng n
-      | other ->
-        failwith
-          ("unknown model: " ^ other ^ " (mori | cooper-frieze | cooper-frieze-giant | config)"))
+      try
+        match model with
+        | "mori" -> Ok (Sf_core.Searchability.mori_instance ~p ~m rng n)
+        | "cooper-frieze" ->
+          let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
+          Ok (Sf_core.Searchability.cooper_frieze_instance params rng n)
+        | "config" -> Ok (Sf_core.Searchability.config_model_instance ~exponent rng n)
+        | other -> Error ("unknown model: " ^ other ^ " (mori | cooper-frieze | config)")
+      with Invalid_argument msg -> Error msg)
   in
+  match instance with
+  | Error msg ->
+    Printf.eprintf "sfsearch: %s\n" msg;
+    1
+  | Ok (graph, default_target) ->
   match strategy_of_name strategy_name with
   | None ->
     Printf.eprintf "unknown strategy %s (known: %s)\n" strategy_name (strategy_names ());
@@ -153,7 +155,7 @@ let run model n p m alpha exponent strategy_name source target trials budget see
 let model_arg =
   Arg.(
     value & opt string "mori"
-    & info [ "model" ] ~doc:"mori | cooper-frieze | cooper-frieze-giant | config")
+    & info [ "model" ] ~doc:"mori | cooper-frieze | config")
 let n_arg = Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Target vertex / problem size")
 let p_arg = Arg.(value & opt float 0.5 & info [ "p" ] ~doc:"Mori parameter")
 let m_arg = Arg.(value & opt int 1 & info [ "m" ] ~doc:"Mori merge factor")

@@ -26,27 +26,23 @@ let run model n p m alpha exponent graph_file listen seed target default_budget
     let rng = Sf_prng.Rng.of_seed seed in
     let graph =
       match graph_file with
-      | Some path -> Sf_store.Csr_codec.load_ugraph ~path ()
-      | None ->
-        fst
-          (match model with
-          | "mori" -> Sf_core.Searchability.mori_instance ~p ~m rng n
+      | Some path -> Ok (Sf_store.Csr_codec.load_ugraph ~path ())
+      | None -> (
+        try
+          match model with
+          | "mori" -> Ok (fst (Sf_core.Searchability.mori_instance ~p ~m rng n))
           | "cooper-frieze" ->
-            let params =
-              { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha }
-            in
-            Sf_core.Searchability.cooper_frieze_instance params rng n
-          | "cooper-frieze-giant" ->
-            let params =
-              { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha }
-            in
-            Sf_core.Searchability.cooper_frieze_giant_instance params rng n
-          | "config" -> Sf_core.Searchability.config_model_instance ~exponent rng n
-          | other ->
-            failwith
-              ("unknown model: " ^ other
-             ^ " (mori | cooper-frieze | cooper-frieze-giant | config)"))
+            let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
+            Ok (fst (Sf_core.Searchability.cooper_frieze_instance params rng n))
+          | "config" -> Ok (fst (Sf_core.Searchability.config_model_instance ~exponent rng n))
+          | other -> Error ("unknown model: " ^ other ^ " (mori | cooper-frieze | config)")
+        with Invalid_argument msg -> Error msg)
     in
+    match graph with
+    | Error msg ->
+      Printf.eprintf "sfserve: %s\n" msg;
+      1
+    | Ok graph ->
     let cfg =
       Sf_serve.Server.config ?default_target:target ?default_budget
         ?jobs:obs.Obs_cli.jobs ~max_payload:max_frame ~seed graph
@@ -85,7 +81,7 @@ let run model n p m alpha exponent graph_file listen seed target default_budget
 let model_arg =
   Arg.(
     value & opt string "mori"
-    & info [ "model" ] ~doc:"mori | cooper-frieze | cooper-frieze-giant | config")
+    & info [ "model" ] ~doc:"mori | cooper-frieze | config")
 
 let n_arg =
   Arg.(value & opt int 10_000 & info [ "n" ] ~doc:"Generated graph size")

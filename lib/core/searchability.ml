@@ -195,9 +195,6 @@ let mori_instance ~p ~m rng n =
   cached ~gen:"mori"
     ~params:[ ("p", fparam p); ("m", string_of_int m) ]
     (fun rng n ->
-      (* the giant engine is draw-for-draw identical to Mori.graph on
-         the same stream (tested), so swapping it in changes memory
-         and speed, not results — coordinates and goldens carry over *)
       let bound = Lower_bound.theorem1 ~p ~m ~n in
       (Sf_gen.Mori.graph_giant rng ~p ~m ~n:bound.Lower_bound.graph_size, n))
     rng n
@@ -223,18 +220,6 @@ let cf_params_rendered (params : Sf_gen.Cooper_frieze.params) =
 
 let cooper_frieze_instance params rng n =
   cached ~gen:"cooper-frieze" ~params:(cf_params_rendered params)
-    (fun rng n ->
-      let extra = int_of_float (sqrt (float_of_int n)) in
-      let g = Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n:(n + extra) in
-      (Ugraph.of_digraph g, n))
-    rng n
-
-let cooper_frieze_giant_instance params rng n =
-  (* a distinct coordinate, not a swap: the giant CF path consumes the
-     stream differently from the legacy one (alias out-degree draws),
-     so the two must never share cache objects or be compared
-     digest-for-digest — equal in law only *)
-  cached ~gen:"cooper-frieze-giant" ~params:(cf_params_rendered params)
     (fun rng n ->
       let extra = int_of_float (sqrt (float_of_int n)) in
       (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n:(n + extra), n))

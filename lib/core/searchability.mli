@@ -130,26 +130,14 @@ val mori_instance :
   p:float -> m:int -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 (** The Theorem 1 workload: the merged Móri graph sized
     [graph_size] from {!Lower_bound.theorem1} (so the equivalence
-    window exists), target = vertex [n]. Built by the giant engine
-    ({!Sf_gen.Mori.graph_giant}) at every size — it is draw-for-draw
-    identical to the legacy path, so this is a storage change, not a
-    distribution change. *)
+    window exists), target = vertex [n]. Built straight into CSR by
+    {!Sf_gen.Mori.graph_giant}. *)
 
 val cooper_frieze_instance :
   Sf_gen.Cooper_frieze.params -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 (** The Theorem 2 workload: CF graph grown to [n + ⌊√n⌋] vertices,
-    target = vertex [n]. *)
-
-val cooper_frieze_giant_instance :
-  Sf_gen.Cooper_frieze.params -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
-(** The Theorem 2 workload built by the flat-storage giant engine
-    ({!Sf_gen.Cooper_frieze.generate_n_vertices_giant}) — the choice
-    for [n] in the millions. Cached under its own coordinate
-    ([cooper-frieze-giant]): the giant path consumes the random
-    stream differently from the legacy one, so the two are equal in
-    law but not interchangeable draw-for-draw. (The Móri maker needs
-    no such split — its giant engine is samplewise identical and
-    {!mori_instance} already uses it.) *)
+    target = vertex [n]. Built straight into CSR by
+    {!Sf_gen.Cooper_frieze.generate_n_vertices_giant}. *)
 
 val config_model_instance :
   exponent:float -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int

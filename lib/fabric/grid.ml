@@ -48,7 +48,7 @@ let core_spec spec =
     S.source = (spec.gs_source :> [ `Oldest | `Random ]);
   }
 
-let models = [ "mori"; "cooper-frieze"; "cooper-frieze-giant"; "config" ]
+let models = [ "mori"; "cooper-frieze"; "config" ]
 
 let make_of_spec spec =
   match spec.gs_model with
@@ -56,9 +56,6 @@ let make_of_spec spec =
   | "cooper-frieze" ->
     let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha = spec.gs_alpha } in
     S.cooper_frieze_instance params
-  | "cooper-frieze-giant" ->
-    let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha = spec.gs_alpha } in
-    S.cooper_frieze_giant_instance params
   | "config" -> S.config_model_instance ~exponent:spec.gs_exponent
   | other ->
     invalid_arg

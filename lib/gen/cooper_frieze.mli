@@ -21,7 +21,14 @@
     The out-degree laws [q] and [p_dist] are finite-support
     distributions, which covers every regime the experiments evaluate
     (Cooper–Frieze themselves require bounded support for most
-    results). *)
+    results).
+
+    One growth loop serves every generator below: edges accumulate in
+    flat int32 endpoint vectors frozen to CSR (doc/SCALING.md), and
+    the boxed results are that graph converted with
+    {!Sf_graph.Ugraph.to_digraph}. With the same stream,
+    {!generate_n_vertices} and {!generate_n_vertices_giant} return the
+    same graph and leave the stream at the same point. *)
 
 type out_degree_dist = (int * float) list
 (** [(value, probability)] pairs; values [>= 1], probabilities summing
@@ -56,14 +63,9 @@ val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t
     [validate] fails or [n < 1]. *)
 
 val generate_n_vertices_giant : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t
-(** Flat-storage counterpart of {!generate_n_vertices}: out-degree
-    counts come from precompiled alias tables (O(1) per draw instead
-    of a scan over the support) and edges accumulate in unboxed int32
-    vectors feeding a direct CSR build, so graphs with 10^7 vertices
-    fit comfortably in memory (doc/SCALING.md).  Same evolution, same
-    parameter checks; equal to {!generate_n_vertices} {e in law} but
-    not draw for draw — the alias draw consumes the random stream
-    differently, so the two paths diverge samplewise. *)
+(** {!generate_n_vertices} without the boxed conversion: the CSR
+    graph the growth loop builds, so graphs with 10^7 vertices fit
+    comfortably in memory (doc/SCALING.md).  Same parameter checks. *)
 
 val generate_n_vertices_traced :
   Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t * int array

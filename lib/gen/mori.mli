@@ -20,7 +20,15 @@
 
     The {e merged} graph [G_t^(m)] takes the Móri tree on [n·m] vertices
     and merges consecutive blocks of [m] vertices; self-loops and
-    parallel edges produced by merging are preserved. *)
+    parallel edges produced by merging are preserved.
+
+    One growth loop serves every function below: it keeps only the
+    father sequence in flat int32 storage and is frozen to CSR
+    (doc/SCALING.md). The boxed {!tree}, {!graph} and
+    {!tree_conditioned} convert that result with
+    {!Sf_graph.Ugraph.to_digraph}, so with the same stream the boxed
+    and the flat functions return the same graph and leave the stream
+    at the same point. *)
 
 val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Digraph.t
 (** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t].
@@ -39,14 +47,11 @@ val tree_conditioned :
     @raise Invalid_argument unless [2 <= a <= b <= t]. *)
 
 val tree_fathers : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Bigvec.t
-(** [tree_fathers rng ~p ~t] grows the same tree as {!tree} but keeps
-    only the father sequence in flat int32 storage: entry [k-2] is the
-    father of vertex [k].  Draw-for-draw identical to {!tree} — with
-    the same stream the two produce the same sequence (the equivalence
-    tests pin this), so results are interchangeable, not merely equal
-    in law.  Peak memory is ~4 bytes per vertex instead of the boxed
-    graph's ~100, which is what makes [t = 10^7] routine
-    (doc/SCALING.md).
+(** [tree_fathers rng ~p ~t] is the growth loop's own output: entry
+    [k-2] is the father of vertex [k], in flat int32 storage.  With the
+    same stream it is the father sequence of {!tree}.  Peak memory is
+    ~4 bytes per vertex instead of the boxed graph's ~100, which is
+    what makes [t = 10^7] routine (doc/SCALING.md).
     @raise Invalid_argument unless [t >= 2] and [0 < p <= 1]. *)
 
 val tree_giant : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
@@ -57,9 +62,8 @@ val tree_giant : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
 val graph_giant : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Ugraph.t
 (** [graph_giant rng ~p ~m ~n] is the m-out Móri graph of {!graph}
     built directly in CSR form: the father sequence is mapped through
-    the block-merge projection edge by edge, skipping the boxed
-    intermediate tree entirely.  Equal (same edge ids, same endpoints)
-    to [Ugraph.of_digraph (graph rng ~p ~m ~n)] on the same stream.
+    the block-merge projection edge by edge, with no boxed
+    intermediate.  {!graph} is this result converted to a [Digraph].
     Requires [n·m >= 2]. *)
 
 val father : Sf_graph.Digraph.t -> int -> int

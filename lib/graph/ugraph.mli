@@ -29,6 +29,12 @@ type t
 
 val of_digraph : Digraph.t -> t
 
+val to_digraph : t -> Digraph.t
+(** Exact inverse of {!of_digraph}: the view keeps every edge's
+    oriented endpoints, so the directed multigraph comes back with the
+    same vertex count and the same edge sequence (id, src, dst). This
+    is how the flat generators serve their boxed API. *)
+
 val of_csr : Csr.t -> t
 (** O(1) adoption of CSR storage — generator and mmap fast path. *)
 

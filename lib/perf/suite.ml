@@ -126,9 +126,10 @@ let tests ~quick =
               (Sf_sim.Query_sim.Flood { ttl = 6 })
               ~source:1
               ~holders:(Sf_sim.Query_sim.single_target net (n_conf / 2)))));
-    (* giant-graph engine hot paths (doc/SCALING.md): the Bigvec-backed
-       Móri grower, the alias-sampled Cooper–Frieze grower, the CSR
-       freeze, and the SFGB-v2 write+map round trip *)
+    (* flat-storage hot paths (doc/SCALING.md): the Móri and
+       Cooper–Frieze growers with CSR output (the entries above time
+       the same growers with boxed output), the CSR freeze, and the
+       SFGB-v2 write+map round trip *)
     mk
       (Printf.sprintf "gen: mori giant tree t=%d (T1)" (scale 8192))
       (fun () ->
