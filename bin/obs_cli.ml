@@ -103,6 +103,11 @@ let term =
 (* One endpoint syntax for every flag that names a serving socket
    (sfserve --listen, sfload SERVER), so the tools cannot drift:
    unix:PATH | tcp:HOST:PORT | bare filesystem path. *)
+let load_graph path =
+  try Ok (Sf_store.Csr_codec.load_ugraph ~path ()) with
+  | Sf_store.Codec_error.Error e -> Error (path ^ ": " ^ Sf_store.Codec_error.to_string e)
+  | Failure msg | Sys_error msg -> Error msg
+
 let endpoint_conv : Sf_serve.Wire.endpoint Arg.conv =
   let parse s =
     match Sf_serve.Wire.endpoint_of_string s with

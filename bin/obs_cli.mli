@@ -49,6 +49,12 @@ val endpoint_conv : Sf_serve.Wire.endpoint Cmdliner.Arg.conv
     [tcp:HOST:PORT], or a bare filesystem path (a unix socket, like
     [--telemetry]). *)
 
+val load_graph : string -> (Sf_graph.Ugraph.t, string) result
+(** [load_graph path] is {!Sf_store.Csr_codec.load_ugraph} for a
+    [--graph] flag: a malformed, unreadable or missing file comes back
+    as [Error msg], [msg] naming [path], for the tool to print as one
+    line ["TOOL: msg"] before exiting 1. *)
+
 val with_session :
   t ->
   ?process:string ->

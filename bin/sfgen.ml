@@ -11,43 +11,41 @@
 
 open Cmdliner
 
-(* Every model comes out as one CSR-backed undirected view: Mori and
-   Cooper-Frieze grow straight into it, the other models are frozen
-   from their boxed build.  One write/DOT/stats path serves them all.
-   Out-of-range parameters surface as the generator's Invalid_argument
-   and are reported like an unknown model. *)
+(* Every model grows straight into one CSR-backed graph, so one
+   write/DOT/stats path serves them all.  Out-of-range parameters
+   surface as the generator's Invalid_argument and are reported like
+   an unknown model. *)
 let generate_graph ~model ~n ~p ~m ~alpha ~exponent ~d_min ~side ~r ~q ~seed =
   let rng = Sf_prng.Rng.of_seed seed in
-  let boxed g = Ok (Sf_graph.Ugraph.of_digraph g) in
   try
     match model with
     | "mori" -> Ok (Sf_gen.Mori.graph_giant rng ~p ~m ~n)
     | "cooper-frieze" ->
       let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha } in
-      Ok (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n)
-    | "ba" -> boxed (Sf_gen.Barabasi_albert.generate rng ~n ~m)
-    | "config" -> boxed (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ())
-    | "config-giant" -> boxed (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ~d_min ())
-    | "kleinberg" -> boxed (Sf_gen.Kleinberg.generate rng ~side ~r ~q ()).Sf_gen.Kleinberg.graph
-    | "uniform" -> boxed (Sf_gen.Uniform_attachment.tree rng ~t:n)
-    | "gnm" -> boxed (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m))
+      Ok (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n)
+    | "ba" -> Ok (Sf_gen.Barabasi_albert.generate rng ~n ~m)
+    | "config" -> Ok (Sf_gen.Config_model.power_law rng ~n ~exponent ~d_min ())
+    | "config-giant" -> Ok (Sf_gen.Config_model.searchable_power_law rng ~n ~exponent ~d_min ())
+    | "kleinberg" -> Ok (Sf_gen.Kleinberg.generate rng ~side ~r ~q ()).Sf_gen.Kleinberg.graph
+    | "uniform" -> Ok (Sf_gen.Uniform_attachment.tree rng ~t:n)
+    | "gnm" -> Ok (Sf_gen.Erdos_renyi.gnm rng ~n ~m:(n * m))
     | other -> Error (`Msg ("unknown model: " ^ other))
   with Invalid_argument msg -> Error (`Msg msg)
 
-(* one pass over the flat endpoint sections, no boxed conversion — a
-   10M-vertex graph stays a 10M-vertex graph *)
+(* passes over the flat endpoint sections only — a 10M-vertex graph
+   stays a 10M-vertex graph *)
 let print_stats u =
   let module U = Sf_graph.Ugraph in
   let module M = Sf_graph.Metrics in
-  let in_deg = M.u_in_degrees u in
+  let in_deg = M.in_degrees u in
   Printf.printf "vertices:        %s\n" (Sf_stats.Table.fmt_int_grouped (U.n_vertices u));
   Printf.printf "edges:           %s\n" (Sf_stats.Table.fmt_int_grouped (U.n_edges u));
-  Printf.printf "mean degree:     %.2f\n" (M.u_mean_degree u);
+  Printf.printf "mean degree:     %.2f\n" (M.mean_degree u);
   Printf.printf "max in-degree:   %d\n" (Array.fold_left max 0 in_deg);
-  Printf.printf "max total deg:   %d\n" (Array.fold_left max 0 (M.u_total_degrees u));
+  Printf.printf "max total deg:   %d\n" (M.max_total_degree u);
   Printf.printf "max degree:      %d\n" (U.max_degree u);
-  Printf.printf "self loops:      %d\n" (M.u_self_loops u);
-  Printf.printf "parallel edges:  %d\n" (M.u_parallel_edges u);
+  Printf.printf "self loops:      %d\n" (M.self_loops u);
+  Printf.printf "parallel edges:  %d\n" (M.parallel_edges u);
   Printf.printf "connected:       %b\n" (Sf_graph.Traversal.is_connected u);
   Printf.printf "graph memory:    %s bytes (CSR)\n"
     (Sf_stats.Table.fmt_int_grouped (U.memory_bytes u));
@@ -60,33 +58,22 @@ let print_stats u =
     (try Sf_stats.Histogram.render (Sf_stats.Histogram.logarithmic in_deg ())
      with Invalid_argument _ -> "(no positive indegrees)\n")
 
-(* the same text as Gio.to_edge_list, read off the CSR sections *)
-let edge_list u =
-  let module U = Sf_graph.Ugraph in
-  let n = U.n_vertices u and m = U.n_edges u in
-  let buf = Buffer.create (16 + (8 * m)) in
-  Buffer.add_string buf (Printf.sprintf "%d %d\n" n m);
-  for id = 0 to m - 1 do
-    let s, d = U.endpoints u id in
-    Buffer.add_string buf (Printf.sprintf "%d %d\n" s d)
-  done;
-  Buffer.contents buf
-
 let write_output u ~out ~format =
   match (out, format) with
   | None, _ -> Ok false
   | Some "-", `Edges ->
-    print_string (edge_list u);
+    print_string (Sf_graph.Gio.to_edge_list u);
     Ok true
   | Some "-", `Bin ->
     set_binary_mode_out stdout true;
-    print_string (Sf_store.Codec.encode_ugraph u);
+    print_string (Sf_store.Codec.encode u);
     Ok true
   | Some "-", `Csr -> Error (`Msg "--format csr needs a real --out path (it is written, not streamed)")
   | Some path, format ->
     (match format with
-    | `Edges -> Out_channel.with_open_bin path (fun oc -> output_string oc (edge_list u))
-    | `Bin -> Sf_store.Codec.write_graph_file (Sf_graph.Ugraph.to_digraph u) ~path
+    | `Edges ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (Sf_graph.Gio.to_edge_list u))
+    | `Bin -> Sf_store.Codec.write_graph_file u ~path
     | `Csr -> Sf_store.Csr_codec.write_ugraph_file u ~path);
     Printf.printf "wrote %s\n" path;
     Ok true
@@ -104,9 +91,7 @@ let run model n p m alpha exponent d_min side r q seed out format dot stats (obs
   | Ok (u, wrote) ->
     Option.iter
       (fun path ->
-        (* DOT is for small demo graphs; the boxed detour is fine here *)
-        Out_channel.with_open_text path (fun oc ->
-            output_string oc (Sf_graph.Gio.to_dot (Sf_graph.Ugraph.to_digraph u)));
+        Out_channel.with_open_text path (fun oc -> output_string oc (Sf_graph.Gio.to_dot u));
         Printf.printf "wrote %s\n" path)
       dot;
     if stats || ((not wrote) && dot = None) then print_stats u;

@@ -32,8 +32,7 @@ let run model n p m alpha exponent strategy_name source target trials budget see
     | Some path ->
       (* version-sniffing load: SFGB v2 files are mmap-backed CSR (no
          decode pass, doc/SCALING.md), v1 and edge lists decode *)
-      let u = Sf_store.Csr_codec.load_ugraph ~path () in
-      Ok (u, Sf_graph.Ugraph.n_vertices u)
+      Result.map (fun u -> (u, Sf_graph.Ugraph.n_vertices u)) (Obs_cli.load_graph path)
     | None -> (
       try
         match model with

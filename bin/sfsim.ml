@@ -25,15 +25,21 @@ let run protocol_name n exponent ttl k q trials seed latency graph_file (obs : O
     | "percolation" -> Sf_sim.Query_sim.Percolation { q; ttl }
     | other -> failwith ("unknown protocol: " ^ other ^ " (flood | walkers | percolation)")
   in
-  let g, overlay_desc =
+  let graph =
     match graph_file with
     | Some path ->
-      (Sf_store.Codec.read_any_file ~path, Printf.sprintf "loaded from %s" path)
+      Result.map (fun g -> (g, Printf.sprintf "loaded from %s" path)) (Obs_cli.load_graph path)
     | None ->
-      ( Sf_gen.Config_model.searchable_power_law rng ~n ~exponent (),
-        Printf.sprintf "power-law giant component, exponent %.2f" exponent )
+      Ok
+        ( Sf_gen.Config_model.searchable_power_law rng ~n ~exponent (),
+          Printf.sprintf "power-law giant component, exponent %.2f" exponent )
   in
-  let net = Sf_sim.Network.create ~latency:(parse_latency latency) (Sf_graph.Ugraph.of_digraph g) in
+  match graph with
+  | Error msg ->
+    Printf.eprintf "sfsim: %s\n" msg;
+    1
+  | Ok (g, overlay_desc) ->
+  let net = Sf_sim.Network.create ~latency:(parse_latency latency) g in
   let n' = Sf_sim.Network.n_nodes net in
   Printf.printf "overlay: %s peers (%s)\n" (Sf_stats.Table.fmt_int_grouped n') overlay_desc;
   let hits = ref 0 in

@@ -27,7 +27,7 @@ let () =
     List.iter
       (fun v ->
         let prev = try Hashtbl.find sums v with Not_found -> 0 in
-        Hashtbl.replace sums v (prev + Sf_graph.Digraph.in_degree g v))
+        Hashtbl.replace sums v (prev + Sf_graph.Ugraph.in_degree g v))
       watch
   done;
 
@@ -58,8 +58,7 @@ let () =
     (small_t - 1);
 
   (* and the age-degree correlation the searcher cannot escape *)
-  let g = Sf_gen.Mori.tree (Sf_prng.Rng.split rng) ~p ~t:20_000 in
-  let u = Sf_graph.Ugraph.of_digraph g in
+  let u = Sf_gen.Mori.tree (Sf_prng.Rng.split rng) ~p ~t:20_000 in
   Printf.printf
     "measured age-degree Spearman correlation at t = 20000: %.3f\n\
      (the configuration model's is ~0: that is experiment T15's contrast)\n"

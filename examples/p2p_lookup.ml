@@ -48,8 +48,7 @@ let () =
   (* 1. The Adamic et al. world: a pure power-law random graph
      (configuration model), exponent 2.3 like measured Gnutella. *)
   let gnutella =
-    Sf_graph.Ugraph.of_digraph
-      (Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng) ~n ~exponent:2.3 ())
+    Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng) ~n ~exponent:2.3 ()
   in
   lookup_experiment "Gnutella-like configuration-model network" gnutella
     [
@@ -70,9 +69,8 @@ let () =
   let p = 0.6 in
   let bound = Sf_core.Lower_bound.theorem1 ~p ~m:2 ~n in
   let mori =
-    Sf_graph.Ugraph.of_digraph
-      (Sf_gen.Mori.graph (Sf_prng.Rng.split rng) ~p ~m:2
-         ~n:bound.Sf_core.Lower_bound.graph_size)
+    Sf_gen.Mori.graph_giant (Sf_prng.Rng.split rng) ~p ~m:2
+      ~n:bound.Sf_core.Lower_bound.graph_size
   in
   Printf.printf "Evolving scale-free network (Mori graph, p = %.1f): find the newest peer\n" p;
   List.iter

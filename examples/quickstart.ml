@@ -13,14 +13,13 @@ let () =
      vertices still form the paper's equivalence window. *)
   let p = 0.6 and m = 2 and n = 20_000 in
   let bound = Sf_core.Lower_bound.theorem1 ~p ~m ~n in
-  let g = Sf_gen.Mori.graph rng ~p ~m ~n:bound.Sf_core.Lower_bound.graph_size in
+  let u = Sf_gen.Mori.graph_giant rng ~p ~m ~n:bound.Sf_core.Lower_bound.graph_size in
   Printf.printf "Mori graph: %s vertices, %s edges (p = %.1f, m = %d)\n"
-    (Sf_stats.Table.fmt_int_grouped (Sf_graph.Digraph.n_vertices g))
-    (Sf_stats.Table.fmt_int_grouped (Sf_graph.Digraph.n_edges g))
+    (Sf_stats.Table.fmt_int_grouped (Sf_graph.Ugraph.n_vertices u))
+    (Sf_stats.Table.fmt_int_grouped (Sf_graph.Ugraph.n_edges u))
     p m;
 
   (* 2. It is a small world: the whole graph sits within a few hops. *)
-  let u = Sf_graph.Ugraph.of_digraph g in
   let diameter = Sf_graph.Traversal.diameter_double_sweep u rng in
   Printf.printf "diameter ~ %d hops (ln n = %.1f) - a genuine small world\n\n" diameter
     (log (float_of_int n));

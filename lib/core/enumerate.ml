@@ -1,4 +1,4 @@
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 
 let max_t = 12
 
@@ -36,11 +36,22 @@ let fold ~p ~t ~init ~f =
   !acc
 
 let graph_of_fathers fathers =
-  let t = Array.length fathers + 1 in
-  let g = Digraph.create ~expected_vertices:t () in
-  Digraph.add_vertices g t;
-  Array.iteri (fun i father -> ignore (Digraph.add_edge g ~src:(i + 2) ~dst:father)) fathers;
-  g
+  Ugraph.of_edges ~n:(Array.length fathers + 1)
+    (List.mapi (fun i father -> (i + 2, father)) (Array.to_list fathers))
+
+let canonical_key g =
+  let pairs = Array.init (Ugraph.n_edges g) (Ugraph.endpoints g) in
+  Array.sort compare pairs;
+  let buf = Buffer.create (16 + (8 * Array.length pairs)) in
+  Buffer.add_string buf (string_of_int (Ugraph.n_vertices g));
+  Array.iter
+    (fun (s, d) ->
+      Buffer.add_char buf '|';
+      Buffer.add_string buf (string_of_int s);
+      Buffer.add_char buf '>';
+      Buffer.add_string buf (string_of_int d))
+    pairs;
+  Buffer.contents buf
 
 let distribution ~p ~t ?(condition = fun _ -> true) () =
   let tbl = Hashtbl.create 256 in
@@ -48,7 +59,7 @@ let distribution ~p ~t ?(condition = fun _ -> true) () =
     fold ~p ~t ~init:0. ~f:(fun total ~prob ~fathers ->
         let g = graph_of_fathers fathers in
         if condition g then begin
-          let key = Digraph.canonical_key g in
+          let key = canonical_key g in
           let prev = try Hashtbl.find tbl key with Not_found -> 0. in
           Hashtbl.replace tbl key (prev +. prob);
           total +. prob

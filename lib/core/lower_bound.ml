@@ -1,4 +1,4 @@
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 
 let lemma1 ~set_size ~event_prob =
   if set_size < 0 then invalid_arg "Lower_bound.lemma1: negative set size";
@@ -78,14 +78,16 @@ let strong_model_exponent ~p =
 
 let cf_event_holds g ~arrival ~n ~window =
   if window < 1 || window >= n then invalid_arg "Lower_bound.cf_event_holds: bad window";
-  if Digraph.n_vertices g < n then invalid_arg "Lower_bound.cf_event_holds: graph too small";
+  if Ugraph.n_vertices g < n then invalid_arg "Lower_bound.cf_event_holds: graph too small";
   let core_top = n - window in
   let ok = ref true in
   for v = n - window + 1 to n do
-    if Digraph.out_degree g v <> arrival.(v - 1) then ok := false
-    else if Digraph.in_degree g v <> 0 then ok := false
+    if Ugraph.out_degree g v <> arrival.(v - 1) then ok := false
+    else if Ugraph.in_degree g v <> 0 then ok := false
     else
-      Digraph.iter_out_edges g v (fun e -> if e.Digraph.dst > core_top then ok := false)
+      Ugraph.iter_incident g v (fun id ->
+          let src, dst = Ugraph.endpoints g id in
+          if src = v && dst > core_top then ok := false)
   done;
   !ok
 
@@ -102,7 +104,7 @@ type cf_estimate = {
 let largest_out_degree_class g ~n ~window =
   let counts = Hashtbl.create 8 in
   for v = n - window + 1 to n do
-    let d = Digraph.out_degree g v in
+    let d = Ugraph.out_degree g v in
     let prev = try Hashtbl.find counts d with Not_found -> 0 in
     Hashtbl.replace counts d (prev + 1)
   done;

@@ -222,15 +222,14 @@ let cooper_frieze_instance params rng n =
   cached ~gen:"cooper-frieze" ~params:(cf_params_rendered params)
     (fun rng n ->
       let extra = int_of_float (sqrt (float_of_int n)) in
-      (Sf_gen.Cooper_frieze.generate_n_vertices_giant rng params ~n:(n + extra), n))
+      (Sf_gen.Cooper_frieze.generate_n_vertices rng params ~n:(n + extra), n))
     rng n
 
 let config_model_instance ~exponent rng n =
   cached ~gen:"config-giant"
     ~params:[ ("exponent", fparam exponent) ]
     (fun rng n ->
-      let g = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent () in
-      let u = Ugraph.of_digraph g in
+      let u = Sf_gen.Config_model.searchable_power_law rng ~n ~exponent () in
       let n' = Ugraph.n_vertices u in
       let target = if n' <= 1 then 1 else 2 + Rng.int rng (n' - 1) in
       (u, target))

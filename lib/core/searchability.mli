@@ -137,7 +137,7 @@ val cooper_frieze_instance :
   Sf_gen.Cooper_frieze.params -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int
 (** The Theorem 2 workload: CF graph grown to [n + ⌊√n⌋] vertices,
     target = vertex [n]. Built straight into CSR by
-    {!Sf_gen.Cooper_frieze.generate_n_vertices_giant}. *)
+    {!Sf_gen.Cooper_frieze.generate_n_vertices}. *)
 
 val config_model_instance :
   exponent:float -> Sf_prng.Rng.t -> int -> Sf_graph.Ugraph.t * int

@@ -135,7 +135,7 @@ let t9_degree_law ~quick ~seed =
   let ua_max = Metrics.max_in_degree ua in
   checks :=
     ( Printf.sprintf "uniform attachment control: max indegree %d stays logarithmic" ua_max,
-      float_of_int ua_max < 8. *. log (float_of_int (Sf_graph.Digraph.n_vertices ua)) )
+      float_of_int ua_max < 8. *. log (float_of_int (Sf_graph.Ugraph.n_vertices ua)) )
     :: !checks;
   rows :=
     [ "uniform attachment (control)"; "(no power law)"; "-"; "-"; "-" ] :: !rows;

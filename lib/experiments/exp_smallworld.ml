@@ -26,7 +26,7 @@ let t10_diameter ~quick ~seed =
       List.iteri
         (fun si n ->
           let rng = Rng.split_at master ((mi * 100) + si) in
-          let g = Ugraph.of_digraph (make rng n) in
+          let g = make rng n in
           let diam = Traversal.diameter_double_sweep g rng in
           let mean_dist = Traversal.mean_distance_sampled g rng ~samples:3 in
           diams := (n, diam) :: !diams;
@@ -89,7 +89,7 @@ let t12_kleinberg ~quick ~seed =
         (fun si side ->
           let rng = Rng.split_at master ((ri * 100) + si) in
           let t = Kleinberg.generate rng ~side ~r ~q:1 () in
-          let g = Ugraph.of_digraph t.Kleinberg.graph in
+          let g = t.Kleinberg.graph in
           let dist = Kleinberg.lattice_distance ~side in
           let n = side * side in
           let summary = Sf_stats.Summary.create () in

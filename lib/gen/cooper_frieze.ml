@@ -70,14 +70,13 @@ let mean_out_degree dist = List.fold_left (fun acc (v, p) -> acc +. (float_of_in
 (* --- the one growth loop (doc/SCALING.md) --------------------------
 
    Edges accumulate in unboxed int32 endpoint vectors that feed a
-   direct CSR build; the boxed API converts that result.  [ends] is the
-   endpoint list realising degree-proportional choice: for indegree
-   preference it records edge destinations, for total degree both
-   endpoints, so a preferential draw is one uniform index, O(1).  A
+   direct CSR build.  [ends] is the endpoint list realising
+   degree-proportional choice: for indegree preference it records edge
+   destinations, for total degree both endpoints, so a preferential
+   draw is one uniform index, O(1).  A
    step's draws come in a fixed order — the NEW/OLD coin, the source,
    the out-degree (a CDF scan of [sample_dist]), then each endpoint —
-   so one stream always yields one graph, whatever shape it is
-   returned in. *)
+   so one stream always yields one graph. *)
 
 type state = {
   srcs : Bigvec.t;
@@ -205,7 +204,7 @@ let check params =
 let generate rng params ~steps =
   check params;
   if steps < 0 then invalid_arg "Cooper_frieze.generate: steps must be non-negative";
-  Ugraph.to_digraph (grow rng params ~by_steps:true ~target:steps)
+  grow rng params ~by_steps:true ~target:steps
 
 let grow_n_vertices ?arrivals ~name rng params ~n =
   check params;
@@ -213,15 +212,12 @@ let grow_n_vertices ?arrivals ~name rng params ~n =
   if params.alpha <= 0. then invalid_arg (name ^ ": alpha must be positive");
   grow ?arrivals rng params ~by_steps:false ~target:n
 
-let generate_n_vertices_giant rng params ~n =
-  grow_n_vertices ~name:"Cooper_frieze.generate_n_vertices_giant" rng params ~n
-
 let generate_n_vertices rng params ~n =
-  Ugraph.to_digraph (grow_n_vertices ~name:"Cooper_frieze.generate_n_vertices" rng params ~n)
+  grow_n_vertices ~name:"Cooper_frieze.generate_n_vertices" rng params ~n
 
 let generate_n_vertices_traced rng params ~n =
   let arrivals = Bigvec.create () in
   let u =
     grow_n_vertices ~arrivals ~name:"Cooper_frieze.generate_n_vertices_traced" rng params ~n
   in
-  (Ugraph.to_digraph u, Bigvec.to_array arrivals)
+  (u, Bigvec.to_array arrivals)

@@ -24,11 +24,8 @@
     results).
 
     One growth loop serves every generator below: edges accumulate in
-    flat int32 endpoint vectors frozen to CSR (doc/SCALING.md), and
-    the boxed results are that graph converted with
-    {!Sf_graph.Ugraph.to_digraph}. With the same stream,
-    {!generate_n_vertices} and {!generate_n_vertices_giant} return the
-    same graph and leave the stream at the same point. *)
+    flat int32 endpoint vectors frozen to CSR once (doc/SCALING.md),
+    so graphs with 10^7 vertices fit comfortably in memory. *)
 
 type out_degree_dist = (int * float) list
 (** [(value, probability)] pairs; values [>= 1], probabilities summing
@@ -52,23 +49,18 @@ val default : params
 
 val validate : params -> (unit, string) result
 
-val generate : Sf_prng.Rng.t -> params -> steps:int -> Sf_graph.Digraph.t
+val generate : Sf_prng.Rng.t -> params -> steps:int -> Sf_graph.Ugraph.t
 (** Run exactly [steps] evolution steps from the initial graph.
     @raise Invalid_argument if [validate] fails. *)
 
-val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t
+val generate_n_vertices : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t
 (** Run steps until the graph has [n] vertices (so the number of steps
     is random, geometric in [alpha]); vertex [n] is the last arrival,
     the search target of Theorem 2. @raise Invalid_argument if
     [validate] fails or [n < 1]. *)
 
-val generate_n_vertices_giant : Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t
-(** {!generate_n_vertices} without the boxed conversion: the CSR
-    graph the growth loop builds, so graphs with 10^7 vertices fit
-    comfortably in memory (doc/SCALING.md).  Same parameter checks. *)
-
 val generate_n_vertices_traced :
-  Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Digraph.t * int array
+  Sf_prng.Rng.t -> params -> n:int -> Sf_graph.Ugraph.t * int array
 (** Like {!generate_n_vertices}, but also returns each vertex's
     {e arrival out-degree} — the number of edges it was born with
     ([a.(v-1)]; vertex 1's initial self-loop counts as 1). A vertex

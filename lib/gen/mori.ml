@@ -1,5 +1,4 @@
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Bigvec = Sf_graph.Bigvec
 
@@ -85,49 +84,48 @@ let merged_csr ~m ~n fathers =
   done;
   Ugraph.of_csr (Sf_graph.Csr.of_endpoint_bufs ~n srcs_buf dsts_buf)
 
-let merged ~name rng ~p ~m ~n =
-  if m < 1 || n < 1 then invalid_arg (name ^ ": need m >= 1 and n >= 1");
-  if n * m < 2 then invalid_arg (name ^ ": need n * m >= 2");
+let graph_giant rng ~p ~m ~n =
+  if m < 1 || n < 1 then invalid_arg "Mori.graph_giant: need m >= 1 and n >= 1";
+  if n * m < 2 then invalid_arg "Mori.graph_giant: need n * m >= 2";
   merged_csr ~m ~n (tree_fathers rng ~p ~t:(n * m))
 
-let graph_giant rng ~p ~m ~n = merged ~name:"Mori.graph_giant" rng ~p ~m ~n
-let graph rng ~p ~m ~n = Ugraph.to_digraph (merged ~name:"Mori.graph" rng ~p ~m ~n)
-
-let tree_giant rng ~p ~t =
-  check_params ~p ~t;
-  graph_giant rng ~p ~m:1 ~n:t
-
-let tree rng ~p ~t = Ugraph.to_digraph (tree_giant rng ~p ~t)
+let tree rng ~p ~t = merged_csr ~m:1 ~n:t (tree_fathers rng ~p ~t)
 
 let tree_conditioned rng ~p ~t ~a ~b =
   check_params ~p ~t;
   if a < 2 || a > b || b > t then invalid_arg "Mori.tree_conditioned: need 2 <= a <= b <= t";
-  Ugraph.to_digraph (merged_csr ~m:1 ~n:t (grow_fathers rng ~p ~t ~a ~b))
+  merged_csr ~m:1 ~n:t (grow_fathers rng ~p ~t ~a ~b)
 
+(* After a relabelling σ the out-edge of vertex k is no longer edge
+   k-2, so the father is found by scanning k's incidence row. *)
 let father g k =
-  match Digraph.out_edges g k with
-  | [ e ] -> e.Digraph.dst
-  | [] -> invalid_arg "Mori.father: vertex has no out-edge"
+  let found = ref 0 and outs = ref 0 in
+  Ugraph.iter_incident g k (fun id ->
+      let src, dst = Ugraph.endpoints g id in
+      if src = k then begin
+        incr outs;
+        found := dst
+      end);
+  match !outs with
+  | 1 -> !found
+  | 0 -> invalid_arg "Mori.father: vertex has no out-edge"
   | _ -> invalid_arg "Mori.father: vertex has several out-edges"
 
-let fathers g =
-  let t = Digraph.n_vertices g in
-  Array.init (t - 1) (fun i -> father g (i + 2))
+let fathers g = Array.init (Ugraph.n_vertices g - 1) (fun i -> father g (i + 2))
 
 let merge ~m g =
   if m < 1 then invalid_arg "Mori.merge: need m >= 1";
-  let nm = Digraph.n_vertices g in
+  let nm = Ugraph.n_vertices g in
   if nm mod m <> 0 then invalid_arg "Mori.merge: m must divide the vertex count";
-  if m = 1 then Digraph.copy g
-  else begin
-    let n = nm / m in
-    let group v = ((v - 1) / m) + 1 in
-    let g' = Digraph.create ~expected_vertices:n () in
-    Digraph.add_vertices g' n;
-    Digraph.iter_edges g (fun e ->
-        ignore (Digraph.add_edge g' ~src:(group e.Digraph.src) ~dst:(group e.Digraph.dst)));
-    g'
-  end
+  let group v = ((v - 1) / m) + 1 in
+  let srcs = Bigvec.create ~capacity:(Ugraph.n_edges g) () in
+  let dsts = Bigvec.create ~capacity:(Ugraph.n_edges g) () in
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let src, dst = Ugraph.endpoints g id in
+    Bigvec.push srcs (group src);
+    Bigvec.push dsts (group dst)
+  done;
+  Ugraph.of_csr (Sf_graph.Csr.of_bigvecs ~n:(nm / m) srcs dsts)
 
 let expected_degree_exponent ~p =
   if p <= 0. || p > 1. then invalid_arg "Mori.expected_degree_exponent: need 0 < p <= 1";

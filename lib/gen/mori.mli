@@ -23,21 +23,17 @@
     parallel edges produced by merging are preserved.
 
     One growth loop serves every function below: it keeps only the
-    father sequence in flat int32 storage and is frozen to CSR
-    (doc/SCALING.md). The boxed {!tree}, {!graph} and
-    {!tree_conditioned} convert that result with
-    {!Sf_graph.Ugraph.to_digraph}, so with the same stream the boxed
-    and the flat functions return the same graph and leave the stream
-    at the same point. *)
+    father sequence in flat int32 storage, and each generator freezes
+    that sequence to CSR once (doc/SCALING.md). *)
 
-val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Digraph.t
+val tree : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
 (** [tree rng ~p ~t] grows the Móri tree [G_t] on vertices [1..t].
     Vertex [k >= 2] has exactly one out-edge, created at time [k]; edge
     id [k-2] is that edge, so edge ids are insertion timestamps.
     @raise Invalid_argument unless [t >= 2] and [0 < p <= 1]. *)
 
 val tree_conditioned :
-  Sf_prng.Rng.t -> p:float -> t:int -> a:int -> b:int -> Sf_graph.Digraph.t
+  Sf_prng.Rng.t -> p:float -> t:int -> a:int -> b:int -> Sf_graph.Ugraph.t
 (** Exact sampling of [G_t] {e conditioned on the event} [E_{a,b}] of
     Lemma 2 (every vertex in [(a, b]] attaches to a vertex [<= a]).
     Conditioning is done step by step — conditional on the event's
@@ -50,39 +46,31 @@ val tree_fathers : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Bigvec.t
 (** [tree_fathers rng ~p ~t] is the growth loop's own output: entry
     [k-2] is the father of vertex [k], in flat int32 storage.  With the
     same stream it is the father sequence of {!tree}.  Peak memory is
-    ~4 bytes per vertex instead of the boxed graph's ~100, which is
-    what makes [t = 10^7] routine (doc/SCALING.md).
+    ~4 bytes per vertex, which is what makes [t = 10^7] routine
+    (doc/SCALING.md).
     @raise Invalid_argument unless [t >= 2] and [0 < p <= 1]. *)
 
-val tree_giant : Sf_prng.Rng.t -> p:float -> t:int -> Sf_graph.Ugraph.t
-(** [tree_giant rng ~p ~t] is {!tree_fathers} materialised as a
-    CSR-backed undirected graph, equal to
-    [Ugraph.of_digraph (tree rng ~p ~t)] on the same stream. *)
-
 val graph_giant : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Ugraph.t
-(** [graph_giant rng ~p ~m ~n] is the m-out Móri graph of {!graph}
-    built directly in CSR form: the father sequence is mapped through
-    the block-merge projection edge by edge, with no boxed
-    intermediate.  {!graph} is this result converted to a [Digraph].
-    Requires [n·m >= 2]. *)
+(** [graph_giant rng ~p ~m ~n] is the m-out Móri graph [G^(m)] on [n]
+    vertices: the tree on [n·m] vertices merged by blocks of [m]
+    ([merge ~m (tree rng ~p ~t:(n·m))] on the same stream). The father
+    sequence is mapped through the block-merge projection edge by
+    edge, so no intermediate tree is built. Requires [n·m >= 2]. *)
 
-val father : Sf_graph.Digraph.t -> int -> int
+val father : Sf_graph.Ugraph.t -> int -> int
 (** [father tree k] is [N_k], the destination of [k]'s out-edge
-    (defined for [k >= 2] in a Móri tree).
-    @raise Invalid_argument if [k] has no out-edge. *)
+    (defined for [k >= 2] in a Móri tree or any relabelling of one).
+    Scans [k]'s incidence row, O(degree).
+    @raise Invalid_argument unless [k] has exactly one out-edge. *)
 
-val fathers : Sf_graph.Digraph.t -> int array
+val fathers : Sf_graph.Ugraph.t -> int array
 (** [fathers tree] lists [N_2 .. N_t] ([a.(k-2)] = father of [k]). *)
 
-val merge : m:int -> Sf_graph.Digraph.t -> Sf_graph.Digraph.t
+val merge : m:int -> Sf_graph.Ugraph.t -> Sf_graph.Ugraph.t
 (** [merge ~m g] merges vertex blocks [m(i-1)+1 .. mi] of [g] into
     vertex [i]. Requires [m >= 1] and [m] dividing [n_vertices g].
-    Every edge of [g] survives (possibly as a self-loop). *)
-
-val graph : Sf_prng.Rng.t -> p:float -> m:int -> n:int -> Sf_graph.Digraph.t
-(** [graph rng ~p ~m ~n] is the m-out Móri graph [G^(m)] on [n]
-    vertices: the tree on [n·m] vertices merged by blocks of [m].
-    Requires [n·m >= 2]. *)
+    Every edge of [g] survives (possibly as a self-loop), in edge-id
+    order. *)
 
 val expected_degree_exponent : p:float -> float
 (** The density exponent of the indegree power law predicted for this

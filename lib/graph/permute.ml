@@ -52,12 +52,13 @@ let random_of_subrange rng ~n ~lo ~hi =
   of_subrange_permutation ~n ~lo ~images
 
 let apply sigma g =
-  let n = Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g and m = Ugraph.n_edges g in
   if Array.length sigma <> n then invalid_arg "Permute.apply: size mismatch";
   if not (is_valid sigma) then invalid_arg "Permute.apply: not a permutation";
-  let g' = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g' n;
-  Digraph.iter_edges g (fun e ->
-      ignore
-        (Digraph.add_edge g' ~src:sigma.(e.Digraph.src - 1) ~dst:sigma.(e.Digraph.dst - 1)));
-  g'
+  let srcs = Bigvec.create ~capacity:m () and dsts = Bigvec.create ~capacity:m () in
+  for id = 0 to m - 1 do
+    let s, d = Ugraph.endpoints g id in
+    Bigvec.push srcs sigma.(s - 1);
+    Bigvec.push dsts sigma.(d - 1)
+  done;
+  Ugraph.of_csr (Csr.of_bigvecs ~n srcs dsts)

@@ -8,16 +8,15 @@ type t = Csr.t
 let of_csr c = c
 let csr t = t
 
-let of_digraph = Csr.of_digraph
-
-let to_digraph t =
-  let n = Csr.n_vertices t in
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
-  for id = 0 to Csr.n_edges t - 1 do
-    ignore (Digraph.add_edge g ~src:(Csr.src t id) ~dst:(Csr.dst t id))
-  done;
-  g
+let of_edges ~n pairs =
+  let srcs = Bigvec.create ~capacity:(List.length pairs) ()
+  and dsts = Bigvec.create ~capacity:(List.length pairs) () in
+  List.iter
+    (fun (s, d) ->
+      Bigvec.push srcs s;
+      Bigvec.push dsts d)
+    pairs;
+  Csr.of_bigvecs ~n srcs dsts
 
 let n_vertices = Csr.n_vertices
 let n_edges = Csr.n_edges
@@ -31,6 +30,16 @@ let degree t v =
   Csr.degree t v
 
 let incident_count = degree
+
+(* a self-loop sits once in its row and is both an out- and an in-edge *)
+let count_row t v name endpoint =
+  check_vertex t v name;
+  let c = ref 0 in
+  Csr.iter_incident t v (fun id -> if endpoint t id = v then incr c);
+  !c
+
+let out_degree t v = count_row t v "out_degree" Csr.src
+let in_degree t v = count_row t v "in_degree" Csr.dst
 
 let incident_nth t v i =
   check_vertex t v "incident_nth";

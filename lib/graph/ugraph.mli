@@ -1,51 +1,58 @@
-(** Frozen undirected incidence view of a directed multigraph.
+(** The graph type: an oriented multigraph frozen in flat {!Csr}
+    storage, with the undirected incidence view the searches use.
 
-    The paper's graphs grow {e oriented}, but "searching always takes
-    place in the corresponding unoriented graph". Searching also never
-    mutates the graph, so this view is an immutable snapshot with
-    O(1) incidence lookups — the structure the oracles and traversals
-    operate on.
+    The paper's graphs grow {e oriented} — vertex [t] is the [t]-th
+    arrival and edge ids [0 .. m-1] are insertion timestamps — but
+    "searching always takes place in the corresponding unoriented
+    graph". This one value carries both: the oriented endpoints of
+    every edge by id ({!endpoints}, {!out_degree}, {!in_degree}) and
+    O(1) incidence rows ({!incident_nth}, {!iter_incident}). Every
+    generator, transform and loader returns it, and searching never
+    mutates it.
 
-    Since the giant-graph engine (doc/SCALING.md) the view is backed
-    by flat {!Csr} storage: four unboxed [int32] Bigarray sections
-    instead of boxed per-vertex arrays, ~12–16 bytes per edge, and the
-    same layout an SFGB-v2 file carries on disk — {!of_csr} is how the
-    mmap loader (lib/store) wraps a file-backed graph in this
-    interface with zero copying.
+    The backing storage is four unboxed [int32] Bigarray sections,
+    ~12–16 bytes per edge, the same layout an SFGB-v2 file carries on
+    disk — {!of_csr} is how the mmap loader (lib/store) wraps a
+    file-backed graph in this interface with zero copying.
 
-    Conventions (unchanged across the CSR refactor — searches replay
-    byte-for-byte):
-    - edge ids are those of the underlying {!Digraph.t};
+    Conventions (searches replay byte-for-byte on them):
+    - vertices are [1 .. n_vertices]; self-loops and parallel edges
+      are kept;
     - the incidence list of [v] contains each incident edge {e once},
       including self-loops (a self-loop at [v] is one handle whose far
       endpoint is [v] itself), in ascending edge-id (= insertion)
       order;
     - [degree v] is the length of that list. This is the degree a
       searcher observes: the number of distinct requests available at
-      [v]. Use {!Digraph.degree} for the loop-counts-twice convention. *)
+      [v]. A self-loop counts once in {!degree} and once in each of
+      {!out_degree} and {!in_degree}, so [out_degree + in_degree] is
+      the loop-counts-twice total degree. *)
 
 type vertex = int
 type t
 
-val of_digraph : Digraph.t -> t
-
-val to_digraph : t -> Digraph.t
-(** Exact inverse of {!of_digraph}: the view keeps every edge's
-    oriented endpoints, so the directed multigraph comes back with the
-    same vertex count and the same edge sequence (id, src, dst). This
-    is how the flat generators serve their boxed API. *)
+val of_edges : n:int -> (vertex * vertex) list -> t
+(** [of_edges ~n pairs] is the graph on vertices [1..n] whose edge [i]
+    is the [i]-th [(src, dst)] pair.
+    @raise Invalid_argument if an endpoint is outside [1..n]. *)
 
 val of_csr : Csr.t -> t
 (** O(1) adoption of CSR storage — generator and mmap fast path. *)
 
 val csr : t -> Csr.t
 (** The backing storage; O(1). Used by the store layer to serialise
-    without an intermediate {!Digraph}. *)
+    the sections directly. *)
 
 val n_vertices : t -> int
 val n_edges : t -> int
 
 val degree : t -> vertex -> int
+
+val out_degree : t -> vertex -> int
+(** Edges whose source is [v]; a row scan, O(degree). *)
+
+val in_degree : t -> vertex -> int
+(** Edges whose destination is [v]; a row scan, O(degree). *)
 
 val incident : t -> vertex -> int array
 (** Ids of the edges incident to [v], in insertion order, as a

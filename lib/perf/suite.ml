@@ -8,16 +8,14 @@ let tests ~quick =
   let scale n = if quick then n / 8 else n in
   let rng0 = Sf_prng.Rng.of_seed 1 in
   (* Pre-built inputs shared by the per-run closures. *)
-  let mori_16k = Sf_gen.Mori.tree (Sf_prng.Rng.split rng0) ~p:0.5 ~t:(scale 16_384) in
-  let mori_u = Sf_graph.Ugraph.of_digraph mori_16k in
-  let config_g =
+  let mori_u = Sf_gen.Mori.tree (Sf_prng.Rng.split rng0) ~p:0.5 ~t:(scale 16_384) in
+  let config_u =
     Sf_gen.Config_model.searchable_power_law (Sf_prng.Rng.split rng0) ~n:(scale 16_384)
       ~exponent:2.3 ()
   in
-  let config_u = Sf_graph.Ugraph.of_digraph config_g in
   let kleinberg = Sf_gen.Kleinberg.generate (Sf_prng.Rng.split rng0) ~side:32 ~r:2. ~q:1 () in
-  let kleinberg_u = Sf_graph.Ugraph.of_digraph kleinberg.Sf_gen.Kleinberg.graph in
-  let degrees = Sf_graph.Metrics.in_degrees mori_16k in
+  let kleinberg_u = kleinberg.Sf_gen.Kleinberg.graph in
+  let degrees = Sf_graph.Metrics.in_degrees mori_u in
   let n_mori = Sf_graph.Ugraph.n_vertices mori_u in
   let n_conf = Sf_graph.Ugraph.n_vertices config_u in
   let mk name f = Test.make ~name (Staged.stage f) in
@@ -29,7 +27,7 @@ let tests ~quick =
     mk
       (Printf.sprintf "gen: merged mori m=4 n=%d (T2)" (scale 2048))
       (fun () ->
-        ignore (Sf_gen.Mori.graph (Sf_prng.Rng.copy rng0) ~p:0.5 ~m:4 ~n:(scale 2048)));
+        ignore (Sf_gen.Mori.graph_giant (Sf_prng.Rng.copy rng0) ~p:0.5 ~m:4 ~n:(scale 2048)));
     (* T4: Cooper-Frieze generation *)
     mk
       (Printf.sprintf "gen: cooper-frieze n=%d (T4)" (scale 4096))
@@ -100,7 +98,7 @@ let tests ~quick =
         ignore (Sf_graph.Traversal.bfs_distances mori_u ~source:1));
     (* T14: permutation action *)
     mk "graph: permutation action on mori (T14)" (fun () ->
-        ignore (Sf_graph.Permute.apply (Sf_graph.Permute.identity n_mori) mori_16k));
+        ignore (Sf_graph.Permute.apply (Sf_graph.Permute.identity n_mori) mori_u));
     (* T15: correlation statistics *)
     mk "graph: assortativity on config (T15)" (fun () ->
         ignore (Sf_graph.Correlation.assortativity config_u));
@@ -126,23 +124,27 @@ let tests ~quick =
               (Sf_sim.Query_sim.Flood { ttl = 6 })
               ~source:1
               ~holders:(Sf_sim.Query_sim.single_target net (n_conf / 2)))));
-    (* flat-storage hot paths (doc/SCALING.md): the Móri and
-       Cooper–Frieze growers with CSR output (the entries above time
-       the same growers with boxed output), the CSR freeze, and the
-       SFGB-v2 write+map round trip *)
+    (* flat-storage hot paths (doc/SCALING.md).  The two "giant"
+       entries time the same generators as "gen: mori tree" and
+       "gen: cooper-frieze" above, which now emit CSR too; they stay
+       because `sfbench gate` fails on any benchmark that its baseline
+       (bench/history/BENCH_0003.json in CI) lists and the candidate
+       lacks, and they go when that baseline is re-recorded.  Then the
+       CSR freeze of a tree's endpoint sections and the SFGB-v2
+       write+map round trip. *)
     mk
       (Printf.sprintf "gen: mori giant tree t=%d (T1)" (scale 8192))
-      (fun () ->
-        ignore (Sf_gen.Mori.tree_giant (Sf_prng.Rng.copy rng0) ~p:0.5 ~t:(scale 8192)));
+      (fun () -> ignore (Sf_gen.Mori.tree (Sf_prng.Rng.copy rng0) ~p:0.5 ~t:(scale 8192)));
     mk
       (Printf.sprintf "gen: cooper-frieze giant n=%d (T4)" (scale 4096))
       (fun () ->
         ignore
-          (Sf_gen.Cooper_frieze.generate_n_vertices_giant (Sf_prng.Rng.copy rng0)
+          (Sf_gen.Cooper_frieze.generate_n_vertices (Sf_prng.Rng.copy rng0)
              Sf_gen.Cooper_frieze.default ~n:(scale 4096)));
-    mk
-      (Printf.sprintf "graph: csr freeze n=%d" (scale 16_384))
-      (fun () -> ignore (Sf_graph.Csr.of_digraph mori_16k));
+    (let c = Sf_graph.Ugraph.csr mori_u in
+     mk
+       (Printf.sprintf "graph: csr freeze n=%d" (scale 16_384))
+       (fun () -> ignore (Sf_graph.Csr.of_endpoint_bufs ~n:c.n c.srcs c.dsts)));
     (let path = Filename.temp_file "sfbench_v2" ".sfg" in
      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
      mk "store: sfgb-v2 write+map roundtrip" (fun () ->

@@ -189,38 +189,11 @@ let drop_entry t fp =
     (try Sys.remove (object_path t fp) with Sys_error _ -> ())
   end
 
+(* Both container versions share one address space: objects keep the
+   same <fp>.sfg name and the version byte in the file decides the read
+   path, so gc, verify and the index never care which container an
+   object uses. *)
 let find t key =
-  let fp = Fingerprint.hex key in
-  let entry = with_lock t (fun () -> Hashtbl.find_opt t.table fp) in
-  match entry with
-  | None ->
-    count obs_miss;
-    trace_cache "cache.miss" key fp;
-    None
-  | Some e -> (
-    match Codec.read_graph_file ~path:(object_path t fp) with
-    | g ->
-      count obs_hit;
-      trace_cache "cache.hit" key fp;
-      with_lock t (fun () ->
-          t.seq <- t.seq + 1;
-          let e = { e with seq = t.seq } in
-          Hashtbl.replace t.table fp e;
-          append_line t (touch_line fp t.seq));
-      Some (g, e)
-    | exception (Codec_error.Error _ | Sys_error _) ->
-      (* missing, truncated or bit-rotted object: evict and report a
-         miss so the caller regenerates *)
-      count obs_corrupt;
-      trace_cache "cache.corrupt" key fp;
-      with_lock t (fun () -> drop_entry t fp);
-      None)
-
-(* The ugraph variants serve both container versions through one
-   address space: objects keep the same <fp>.sfg name and the version
-   byte in the file decides the read path, so gc, verify and the index
-   never care which container an object uses. *)
-let find_ugraph t key =
   let fp = Fingerprint.hex key in
   let entry = with_lock t (fun () -> Hashtbl.find_opt t.table fp) in
   match entry with
@@ -233,7 +206,7 @@ let find_ugraph t key =
     let load () =
       match Csr_codec.sniff_version path with
       | Some v when v = Csr_codec.version -> Csr_codec.map_ugraph_file ~path ()
-      | _ -> Sf_graph.Ugraph.of_digraph (Codec.read_graph_file ~path)
+      | _ -> Codec.read_graph_file ~path
     in
     match load () with
     | g ->
@@ -246,6 +219,8 @@ let find_ugraph t key =
           append_line t (touch_line fp t.seq));
       Some (g, e)
     | exception (Codec_error.Error _ | Sys_error _) ->
+      (* missing, truncated or bit-rotted object: evict and report a
+         miss so the caller regenerates *)
       count obs_corrupt;
       trace_cache "cache.corrupt" key fp;
       with_lock t (fun () -> drop_entry t fp);
@@ -271,34 +246,13 @@ let register t key ~target ~rng_after ~path =
       Hashtbl.replace t.table fp e;
       append_line t (entry_line e))
 
-let add_ugraph t key ~graph ~target ~rng_after ~format =
+let add t key ~graph ~target ~rng_after ~format =
   let path = object_path t (Fingerprint.hex key) in
   (match format with
-  | `V1 -> Codec.write_graph_file (Sf_graph.Ugraph.to_digraph graph) ~path
+  | `V1 -> Codec.write_graph_file graph ~path
   | `V2 -> Csr_codec.write_ugraph_file graph ~path);
   register t key ~target ~rng_after ~path
 
-let add t key ~graph ~target ~rng_after =
-  let fp = Fingerprint.hex key in
-  let path = object_path t fp in
-  Codec.write_graph_file graph ~path;
-  let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-  with_lock t (fun () ->
-      t.seq <- t.seq + 1;
-      let e =
-        {
-          fp;
-          desc = Fingerprint.describe key;
-          gen = key.Fingerprint.gen;
-          n = key.Fingerprint.n;
-          target;
-          rng_after;
-          bytes;
-          seq = t.seq;
-        }
-      in
-      Hashtbl.replace t.table fp e;
-      append_line t (entry_line e))
 
 let entries t =
   with_lock t (fun () ->
@@ -371,7 +325,7 @@ let verify t =
              | exception Sys_error msg -> Error msg)
            | _ -> (
              match Codec.decode (In_channel.with_open_bin path In_channel.input_all) with
-             | (_ : Sf_graph.Digraph.t) -> Ok ()
+             | (_ : Sf_graph.Ugraph.t) -> Ok ()
              | exception Codec_error.Error err -> Error (Codec_error.to_string err)
              | exception Sys_error msg -> Error msg)
          in

@@ -51,23 +51,14 @@ val open_dir : string -> t
 
 val dir : t -> string
 
-val find : t -> Fingerprint.key -> (Sf_graph.Digraph.t * entry) option
-(** Decoded graph plus metadata on a hit (refreshing its LRU
-    position); [None] — after the counter and eviction bookkeeping
-    described above — on a miss or a corrupt entry. *)
+val find : t -> Fingerprint.key -> (Sf_graph.Ugraph.t * entry) option
+(** Graph plus metadata on a hit (refreshing its LRU position);
+    [None] — after the counter and eviction bookkeeping described
+    above — on a miss or a corrupt entry. Version-2 objects open as
+    mmap-backed CSR graphs ({!Csr_codec.map_ugraph_file}, CRC
+    verified), version-1 objects decode. *)
 
 val add :
-  t -> Fingerprint.key -> graph:Sf_graph.Digraph.t -> target:int -> rng_after:string -> unit
-(** Store an object and append its index line. Re-adding a
-    fingerprint overwrites the object and supersedes the line. *)
-
-val find_ugraph : t -> Fingerprint.key -> (Sf_graph.Ugraph.t * entry) option
-(** Container-agnostic {!find}: version-2 objects open as mmap-backed
-    CSR graphs ({!Csr_codec.map_ugraph_file}, CRC verified), version-1
-    objects decode and convert. Counters, LRU touch and
-    corrupt-eviction behave exactly as in {!find}. *)
-
-val add_ugraph :
   t ->
   Fingerprint.key ->
   graph:Sf_graph.Ugraph.t ->
@@ -75,11 +66,13 @@ val add_ugraph :
   rng_after:string ->
   format:[ `V1 | `V2 ] ->
   unit
-(** Store in the chosen container. Both versions share the
-    [<fp>.sfg] namespace — the version byte in the file, not the
-    name, selects the read path — so gc and the index treat them
-    uniformly. [`V1] is compact (varints, ~1–2 bytes/edge), [`V2] is
-    mmap-readable (~12 bytes/edge); {!Corpus} picks by graph size. *)
+(** Store an object in the chosen container and append its index
+    line; re-adding a fingerprint overwrites the object and supersedes
+    the line. Both versions share the [<fp>.sfg] namespace — the
+    version byte in the file, not the name, selects the read path —
+    so gc and the index treat them uniformly. [`V1] is compact
+    (varints, ~1–2 bytes/edge), [`V2] is mmap-readable (~12
+    bytes/edge); {!Corpus} picks by graph size. *)
 
 val mem : t -> Fingerprint.key -> bool
 (** Pure membership probe — no counters, no LRU touch. *)

@@ -1,5 +1,6 @@
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
+module Csr = Sf_graph.Csr
+module Bigvec = Sf_graph.Bigvec
 module E = Codec_error
 
 let magic = "SFGB"
@@ -18,22 +19,27 @@ let obs_bytes_written = Sf_obs.Registry.counter "store.bytes_written"
 (* ------------------------------------------------------------------ *)
 
 let encode g =
-  let n = Digraph.n_vertices g and m = Digraph.n_edges g in
+  let c = Ugraph.csr g in
+  let n = Csr.n_vertices c and m = Csr.n_edges c in
   (* Rows in source order, insertion order within a row; [ids] is the
      concatenated canonical edge-id sequence. *)
   let degrees = Array.make n 0 in
-  Digraph.iter_edges g (fun e -> degrees.(e.Digraph.src - 1) <- degrees.(e.Digraph.src - 1) + 1);
+  for id = 0 to m - 1 do
+    degrees.(Csr.src c id - 1) <- degrees.(Csr.src c id - 1) + 1
+  done;
   let row_start = Array.make (n + 1) 0 in
   for v = 1 to n do
     row_start.(v) <- row_start.(v - 1) + degrees.(v - 1)
   done;
   let fill = Array.copy row_start in
   let ids = Array.make m 0 and dsts = Array.make m 0 in
-  Digraph.iter_edges g (fun e ->
-      let slot = fill.(e.Digraph.src - 1) in
-      ids.(slot) <- e.Digraph.id;
-      dsts.(slot) <- e.Digraph.dst;
-      fill.(e.Digraph.src - 1) <- slot + 1);
+  for id = 0 to m - 1 do
+    let src = Csr.src c id in
+    let slot = fill.(src - 1) in
+    ids.(slot) <- id;
+    dsts.(slot) <- Csr.dst c id;
+    fill.(src - 1) <- slot + 1
+  done;
   let canonical = ref true in
   Array.iteri (fun k id -> if id <> k then canonical := false) ids;
   let buf = Buffer.create (16 + (2 * m) + n) in
@@ -69,8 +75,6 @@ let encode g =
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let looks_binary s = String.length s >= 4 && String.sub s 0 4 = magic
 
 let decode s =
   let len = String.length s in
@@ -143,30 +147,18 @@ let decode s =
   in
   if !pos <> payload_end then
     E.fail (E.Malformed (Printf.sprintf "%d trailing payload byte(s)" (payload_end - !pos)));
-  (* Replay edges in insertion (id) order so ids come out identical. *)
-  let srcs_by_id = Array.make (max m 1) 0 and dsts_by_id = Array.make (max m 1) 0 in
+  (* Place edges at their ids so ids come out identical. *)
+  let srcs_by_id = Bigvec.create_buf m and dsts_by_id = Bigvec.create_buf m in
   let slot = ref 0 in
   for v = 1 to n do
     for _ = 1 to degrees.(v - 1) do
       let id = ids.(!slot) in
-      srcs_by_id.(id) <- v;
-      dsts_by_id.(id) <- dsts.(!slot);
+      Bigarray.Array1.unsafe_set srcs_by_id id (Int32.of_int v);
+      Bigarray.Array1.unsafe_set dsts_by_id id (Int32.of_int dsts.(!slot));
       incr slot
     done
   done;
-  let g = Digraph.create ~expected_vertices:n () in
-  Digraph.add_vertices g n;
-  for id = 0 to m - 1 do
-    ignore (Digraph.add_edge g ~src:srcs_by_id.(id) ~dst:dsts_by_id.(id))
-  done;
-  g
-
-(* ------------------------------------------------------------------ *)
-(* The undirected view                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let encode_ugraph u = encode (Ugraph.to_digraph u)
-let decode_ugraph s = Ugraph.of_digraph (decode s)
+  Ugraph.of_csr (Csr.of_endpoint_bufs ~n srcs_by_id dsts_by_id)
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -205,15 +197,3 @@ let read_graph_file ~path =
         Sf_obs.Counter.add obs_bytes_read (String.length bytes);
       trace_file "store.read" ~path ~bytes:(String.length bytes);
       decode bytes)
-
-let read_any_file ~path =
-  let bytes = read_file path in
-  if looks_binary bytes then
-    Sf_obs.Histo.time obs_read_us (fun () ->
-        if Sf_obs.Registry.enabled () then
-          Sf_obs.Counter.add obs_bytes_read (String.length bytes);
-        trace_file "store.read" ~path ~bytes:(String.length bytes);
-        decode bytes)
-  else
-    try Sf_graph.Gio.of_edge_list bytes
-    with Failure msg -> failwith (path ^ ": " ^ msg)

@@ -27,33 +27,19 @@ val magic : string
 
 val version : int
 
-val encode : Sf_graph.Digraph.t -> string
+val encode : Sf_graph.Ugraph.t -> string
 (** Exact encoding: [decode (encode g)] reproduces vertex count and
-    the edge sequence (id, src, dst) of [g] exactly. *)
+    the edge sequence (id, src, dst) of [g] exactly — the graph keeps
+    every edge's oriented endpoints in id order, so this is not a
+    symmetrised approximation. *)
 
-val decode : string -> Sf_graph.Digraph.t
+val decode : string -> Sf_graph.Ugraph.t
 (** @raise Codec_error.Error on any malformed input. *)
 
-val encode_ugraph : Sf_graph.Ugraph.t -> string
-(** Encodes the directed multigraph underlying the view — a
-    {!Sf_graph.Ugraph.t} retains every edge's oriented endpoints in id
-    order, so this is exact, not a symmetrised approximation. *)
-
-val decode_ugraph : string -> Sf_graph.Ugraph.t
-
-val looks_binary : string -> bool
-(** Whether a byte prefix (≥ 4 bytes) carries the format magic — the
-    sniff used by the CLI tools to accept [.sfg] and edge-list inputs
-    through one flag. *)
-
-val write_graph_file : Sf_graph.Digraph.t -> path:string -> unit
+val write_graph_file : Sf_graph.Ugraph.t -> path:string -> unit
 (** Atomic write: encode to [path ^ ".tmp.<pid>"], then rename.
     @raise Sys_error on I/O failure. *)
 
-val read_graph_file : path:string -> Sf_graph.Digraph.t
-(** @raise Codec_error.Error on malformed contents (the message of a
-    wrapped [Sys_error] names [path]). *)
-
-val read_any_file : path:string -> Sf_graph.Digraph.t
-(** Sniff the first bytes: binary graphs go through {!decode},
-    anything else through {!Sf_graph.Gio.of_edge_list}. *)
+val read_graph_file : path:string -> Sf_graph.Ugraph.t
+(** @raise Codec_error.Error on malformed contents.
+    @raise Sys_error if [path] cannot be read. *)

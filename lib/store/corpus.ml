@@ -34,7 +34,7 @@ let instance ~gen ~params make rng n =
   | Some cache -> (
     let key = { Fingerprint.gen; params; n; stream = Fingerprint.rng_token rng } in
     let hit =
-      match Cache.find_ugraph cache key with
+      match Cache.find cache key with
       | Some (u, entry) -> (
         (* a malformed rng token in the index is as fatal as a corrupt
            object: fall back to regeneration *)
@@ -49,6 +49,6 @@ let instance ~gen ~params make rng n =
     | None ->
       let u, target = make rng n in
       let format = if Ugraph.n_edges u >= v2_edge_threshold then `V2 else `V1 in
-      Cache.add_ugraph cache key ~graph:u ~target ~rng_after:(Fingerprint.rng_token rng)
+      Cache.add cache key ~graph:u ~target ~rng_after:(Fingerprint.rng_token rng)
         ~format;
       (u, target))

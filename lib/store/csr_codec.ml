@@ -237,5 +237,5 @@ let sniff_version path =
 let load_ugraph ?(verify = true) ~path () =
   match sniff_version path with
   | Some v when v = version -> map_ugraph_file ~verify ~path ()
-  | Some _ (* v1 or future: the strict codec decides *) | None ->
-    Ugraph.of_digraph (Codec.read_any_file ~path)
+  | Some _ (* v1 or future: the strict codec decides *) -> Codec.read_graph_file ~path
+  | None -> Sf_graph.Gio.read_edge_list ~path

@@ -54,6 +54,9 @@ val sniff_version : string -> int option
     version [v], [None] for anything else (including short files). *)
 
 val load_ugraph : ?verify:bool -> path:string -> unit -> Sf_graph.Ugraph.t
-(** The one-stop loader the CLI tools use: version-2 files are mapped
+(** The one loader every CLI tool uses: version-2 files are mapped
     (honouring [verify]), version-1 files decoded via {!Codec}, and
-    anything else parsed as a text edge list. *)
+    anything else parsed as a text edge list.
+    @raise Codec_error.Error on a malformed binary file.
+    @raise Failure on a malformed edge list (the message names [path]).
+    @raise Sys_error if [path] cannot be opened. *)

@@ -5,7 +5,7 @@
    harness. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
+module Ugraph = Sf_graph.Ugraph
 module Events = Sf_core.Events
 module Enumerate = Sf_core.Enumerate
 module Equivalence = Sf_core.Equivalence
@@ -36,7 +36,7 @@ let test_enumeration_guards () =
 
 let test_graph_of_fathers () =
   let g = Enumerate.graph_of_fathers [| 1; 2; 2 |] in
-  Alcotest.(check int) "vertices" 4 (Digraph.n_vertices g);
+  Alcotest.(check int) "vertices" 4 (Ugraph.n_vertices g);
   Alcotest.(check int) "father of 3" 2 (Sf_gen.Mori.father g 3);
   Alcotest.(check int) "father of 4" 2 (Sf_gen.Mori.father g 4)
 
@@ -181,7 +181,7 @@ let test_exact_equivalence_fails_without_conditioning () =
   let tbl = Hashtbl.create 512 in
   Enumerate.fold ~p ~t ~init:() ~f:(fun () ~prob ~fathers ->
       let g = Enumerate.graph_of_fathers fathers in
-      let key = Digraph.canonical_key (Sf_graph.Permute.apply sigma g) in
+      let key = Enumerate.canonical_key (Sf_graph.Permute.apply sigma g) in
       let prev = try Hashtbl.find tbl key with Not_found -> 0. in
       Hashtbl.replace tbl key (prev +. prob));
   let worst = ref 0. in
@@ -400,21 +400,84 @@ let test_cf_event_checker () =
   (* hand-built CF-like graph on 6 vertices, window = {5, 6}:
      arrivals: everyone born with 1 edge; no one points into the
      window; window vertices point into the core *)
-  let g = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3) ] in
+  let g = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3) ] in
   let arrival = [| 1; 1; 1; 1; 1; 1 |] in
   Alcotest.(check bool) "event holds" true (Lower_bound.cf_event_holds g ~arrival ~n:6 ~window:2);
   (* break it: an extra edge pointing into the window *)
-  let g2 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (2, 5) ] in
+  let g2 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (2, 5) ] in
   Alcotest.(check bool) "indegree violation detected" false
     (Lower_bound.cf_event_holds g2 ~arrival ~n:6 ~window:2);
   (* break it differently: window vertex used as OLD source *)
-  let g3 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (5, 1) ] in
+  let g3 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 3); (5, 1) ] in
   Alcotest.(check bool) "OLD-source violation detected" false
     (Lower_bound.cf_event_holds g3 ~arrival ~n:6 ~window:2);
   (* and: window vertex attaching inside the window *)
-  let g4 = Digraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 5) ] in
+  let g4 = Ugraph.of_edges ~n:6 [ (1, 1); (2, 1); (3, 2); (4, 1); (5, 2); (6, 5) ] in
   Alcotest.(check bool) "containment violation detected" false
     (Lower_bound.cf_event_holds g4 ~arrival ~n:6 ~window:2)
+
+(* The father readers on relabelled trees.  Under a permutation σ the
+   out-edge of vertex k is no longer edge k-2, so a reader that takes
+   the edge-id shortcut instead of scanning k's row reads the wrong
+   edge.  Expected values were recorded before the readers moved to
+   the CSR graph, on fixed-seed trees and their σ-images. *)
+let test_father_readers_on_permuted_trees () =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let bits n f = String.init n (fun i -> if f i then '1' else '0') in
+  let t = 40 in
+  let sigma = Sf_graph.Permute.random_of_subrange (Rng.of_seed 202) ~n:t ~lo:2 ~hi:t in
+  let window = Sf_graph.Permute.random_of_subrange (Rng.of_seed 203) ~n:t ~lo:13 ~hi:20 in
+  let check_tree label g expected =
+    List.iter2
+      (fun (image, g) (fathers, stat_wide, stat_narrow, holds) ->
+        let what = label ^ " " ^ image in
+        Alcotest.(check string) (what ^ " fathers") fathers (ints (Sf_gen.Mori.fathers g));
+        Alcotest.(check string) (what ^ " window statistic, width 8") stat_wide
+          (Equivalence.window_statistic g ~a:12 ~b:20);
+        Alcotest.(check string) (what ^ " window statistic, width 3") stat_narrow
+          (Equivalence.window_statistic g ~a:12 ~b:15);
+        Alcotest.(check string) (what ^ " E_{a,b} over 30 windows") holds
+          (bits 30 (fun i -> Events.holds g ~a:(i + 2) ~b:(min t (i + 2 + (i mod 4))))))
+      [ ("id", g); ("sigma", Sf_graph.Permute.apply sigma g);
+        ("window", Sf_graph.Permute.apply window g) ]
+      expected
+  in
+  check_tree "tree" (Sf_gen.Mori.tree (Rng.of_seed 201) ~p:0.5 ~t)
+    [
+      ( "1,1,2,4,2,2,2,1,1,10,1,4,1,10,1,15,1,1,3,14,16,21,1,1,1,8,27,5,1,21,20,1,1,22,10,27,15,1,21",
+        "0:o;0:w;1:3;", "0:o;1:1;2:o;", "111111101111111111111110111111" );
+      ( "1,1,9,32,29,14,1,8,1,1,7,1,1,9,1,34,1,26,35,32,1,8,1,8,30,21,29,40,1,26,1,32,21,1,1,1,26,20,32",
+        "0:1;0:w;1:w;", "0:1;1:1;0:o;", "100011111111110010011100100111" );
+      ( "1,1,2,4,2,2,2,1,1,10,1,3,19,1,1,1,1,10,4,18,17,21,1,1,1,8,27,5,1,21,13,1,1,22,10,27,19,1,21",
+        "1:3;1:1;0:o;", "1:3;0:w;0:1;", "111111101100111111111110111111" );
+    ];
+  check_tree "conditioned"
+    (Sf_gen.Mori.tree_conditioned (Rng.of_seed 204) ~p:0.7 ~t ~a:12 ~b:20)
+    [
+      ( "1,1,1,1,1,1,1,5,1,2,7,3,3,1,3,10,1,9,1,2,1,11,1,1,7,3,14,11,14,1,4,1,1,1,10,29,2,1,9",
+        "0:3;0:o;0:1;", "0:3;2:3;0:1;", "111111111111111111111111111111" );
+      ( "30,1,32,1,17,1,1,1,5,36,21,5,1,8,1,25,1,1,1,1,1,8,1,32,32,14,30,14,14,25,1,1,1,14,34,1,36,1,1",
+        "0:o;1:w;0:1;", "0:o;4:1;0:o;", "100011101011110111111100101111" );
+      ( "1,1,1,1,1,1,1,5,1,2,7,1,10,9,1,3,3,1,3,2,1,11,1,1,7,3,18,11,18,1,4,1,1,1,10,29,2,1,9",
+        "0:1;0:3;0:3;", "0:1;0:o;0:o;", "111111111111111111111111111111" );
+    ];
+  (* the Theorem 2 event on a traced CF graph and on a σ-image that
+     relabels part of the candidate window, arrivals carried along *)
+  let n = 60 in
+  let params = { Sf_gen.Cooper_frieze.default with Sf_gen.Cooper_frieze.alpha = 0.9 } in
+  let g, arrival = Sf_gen.Cooper_frieze.generate_n_vertices_traced (Rng.of_seed 205) params ~n in
+  Alcotest.(check int) "cf vertices" 60 (Ugraph.n_vertices g);
+  let sigma =
+    Sf_graph.Permute.random_of_subrange (Rng.of_seed 206) ~n:60 ~lo:(n - 14) ~hi:(n - 2)
+  in
+  let arrival' = Array.make (Array.length arrival) 0 in
+  Array.iteri (fun i a -> arrival'.(sigma.(i) - 1) <- a) arrival;
+  let events g arrival =
+    bits 20 (fun i -> Lower_bound.cf_event_holds g ~arrival ~n ~window:(i + 1))
+  in
+  Alcotest.(check string) "cf event, id" "11111111111000000000" (events g arrival);
+  Alcotest.(check string) "cf event, sigma" "11000000000000000000"
+    (events (Sf_graph.Permute.apply sigma g) arrival')
 
 let test_theorem2_estimate_positive () =
   let rng = Rng.of_seed 8 in
@@ -474,7 +537,7 @@ let test_moments_match_simulation () =
   let trials = 3000 in
   let total = ref 0 in
   for _ = 1 to trials do
-    total := !total + Digraph.in_degree (Sf_gen.Mori.tree rng ~p ~t) v
+    total := !total + Ugraph.in_degree (Sf_gen.Mori.tree rng ~p ~t) v
   done;
   let sim = float_of_int !total /. float_of_int trials in
   let exact = Sf_core.Moments.expected_indegree ~p ~v ~t in
@@ -687,6 +750,7 @@ let suite =
     ("optimal window vs theory", `Quick, test_optimal_window_matches_theory);
     ("cf event checker", `Quick, test_cf_event_checker);
     ("theorem 2 estimate", `Quick, test_theorem2_estimate_positive);
+    ("father readers on permuted trees", `Quick, test_father_readers_on_permuted_trees);
     ("moments tiny exact", `Quick, test_moments_tiny_exact);
     ("moments vs enumeration", `Quick, test_moments_match_enumeration);
     ("moments profile consistency", `Quick, test_moments_profile_consistency);

@@ -4,7 +4,6 @@
    probability. *)
 
 module Rng = Sf_prng.Rng
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Traversal = Sf_graph.Traversal
 module Metrics = Sf_graph.Metrics
@@ -13,27 +12,30 @@ module Cooper_frieze = Sf_gen.Cooper_frieze
 module Config_model = Sf_gen.Config_model
 module Kleinberg = Sf_gen.Kleinberg
 
+(* loop-counts-twice degree *)
+let total_degree g v = Ugraph.out_degree g v + Ugraph.in_degree g v
+
 (* --- Móri ------------------------------------------------------------- *)
 
 let test_mori_tree_shape () =
   let rng = Rng.of_seed 1 in
   let t = 500 in
   let g = Mori.tree rng ~p:0.5 ~t in
-  Alcotest.(check int) "vertices" t (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" (t - 1) (Digraph.n_edges g);
+  Alcotest.(check int) "vertices" t (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" (t - 1) (Ugraph.n_edges g);
   for k = 2 to t do
-    Alcotest.(check int) "one out-edge each" 1 (Digraph.out_degree g k);
+    Alcotest.(check int) "one out-edge each" 1 (Ugraph.out_degree g k);
     Alcotest.(check bool) "father is older" true (Mori.father g k < k)
   done;
-  Alcotest.(check int) "root has no out-edge" 0 (Digraph.out_degree g 1);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g))
+  Alcotest.(check int) "root has no out-edge" 0 (Ugraph.out_degree g 1);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g)
 
 let test_mori_edge_ids_are_arrival_times () =
   let rng = Rng.of_seed 2 in
   let g = Mori.tree rng ~p:0.9 ~t:100 in
   for k = 2 to 100 do
-    let e = List.hd (Digraph.out_edges g k) in
-    Alcotest.(check int) "edge id = k - 2" (k - 2) e.Digraph.id
+    Alcotest.(check (pair int int)) "edge k - 2 is k's out-edge" (k, Mori.father g k)
+      (Ugraph.endpoints g (k - 2))
   done
 
 let test_mori_p1_is_preferential () =
@@ -74,7 +76,7 @@ let test_mori_conditioned_respects_event () =
   for _ = 1 to 100 do
     let g = Mori.tree_conditioned rng ~p:0.5 ~t ~a ~b in
     Alcotest.(check bool) "event holds" true (Sf_core.Events.holds g ~a ~b);
-    Alcotest.(check int) "size unchanged" t (Digraph.n_vertices g)
+    Alcotest.(check int) "size unchanged" t (Ugraph.n_vertices g)
   done
 
 let test_mori_conditioned_matches_conditional_law () =
@@ -103,41 +105,81 @@ let test_mori_conditioned_matches_conditional_law () =
     true
     (Float.abs (freq -. exact) < 0.012)
 
-(* --- flat growth loops and the boxed API on top ------------------------ *)
+(* --- every generator pinned ---------------------------------------------- *)
 
-let test_mori_giant_samplewise_parity () =
-  (* the boxed API converts the flat result: same stream -> identical
-     edge list, so the Digraph converter must lose nothing *)
+(* MD5 of the edge sequence ("n m" then one "src dst" line per edge id)
+   and the next draw of the stream, at fixed seeds.  The values were
+   recorded before the generators moved from a boxed multigraph to CSR
+   output: the draws, the draw order and the edge order must not
+   change. *)
+let edge_digest g =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf (Printf.sprintf "%d %d\n" (Ugraph.n_vertices g) (Ugraph.n_edges g));
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    Buffer.add_string buf (Printf.sprintf "%d %d\n" s d)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_generators_pinned () =
+  let cf_q =
+    {
+      Cooper_frieze.default with
+      Cooper_frieze.preference = Cooper_frieze.Total_degree;
+      q = [ (1, 0.2); (2, 0.5); (4, 0.3) ];
+    }
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let cases =
+    [
+      ("ba", 101, "95480b94dcbeb5c347c8a4d1eee52b5c", 891067522,
+        fun r -> edge_digest (Sf_gen.Barabasi_albert.generate r ~n:500 ~m:3));
+      ("config power_law", 102, "5ffc1034245426fe48ef51e6842f85b0", 341346714,
+        fun r -> edge_digest (Config_model.power_law r ~n:600 ~exponent:2.5 ()));
+      ("config searchable", 103, "60bf37c51be815bcce42ec880a9c311f", 606709549,
+        fun r -> edge_digest (Config_model.searchable_power_law r ~n:600 ~exponent:2.3 ()));
+      ("gnm", 104, "0367ba3f0e3b4acbf5972a979718ec53", 837467953,
+        fun r -> edge_digest (Sf_gen.Erdos_renyi.gnm r ~n:300 ~m:900));
+      ("gnp", 105, "94199f4e2cfda1db6653c68ec17b8e0c", 304142081,
+        fun r -> edge_digest (Sf_gen.Erdos_renyi.gnp r ~n:300 ~p:0.02));
+      ("kleinberg", 106, "dd80afeca8f299a5877e5afe0d0ba035", 789160908,
+        fun r -> edge_digest (Kleinberg.generate r ~side:12 ~r:2. ~q:2 ()).Kleinberg.graph);
+      ("lcd tree1", 107, "0cfd42c477f23a2727e7f9a6ea42a852", 17306010,
+        fun r -> edge_digest (Sf_gen.Lcd.tree1 r ~t:500));
+      ("lcd generate", 108, "26b84f30833cabd45f28daa5e8bc5cee", 907621749,
+        fun r -> edge_digest (Sf_gen.Lcd.generate r ~n:200 ~m:3));
+      ("uniform tree", 109, "eec58ab3c88a0ba48d055e8ec3bb0733", 293030936,
+        fun r -> edge_digest (Sf_gen.Uniform_attachment.tree r ~t:500));
+      ("uniform graph", 110, "a295cfa08a1e8336ac6321182648adab", 288898484,
+        fun r -> edge_digest (Sf_gen.Uniform_attachment.graph r ~n:300 ~m:2));
+      ("watts-strogatz", 111, "cee8d8232e22ac5cfb2841c71c605b01", 382282739,
+        fun r -> edge_digest (Sf_gen.Watts_strogatz.generate r ~n:300 ~k:6 ~beta:0.2));
+      ("mori tree", 112, "4c01de8923e633ccc149fd32ef07ccc5", 80618205,
+        fun r -> edge_digest (Mori.tree r ~p:0.6 ~t:500));
+      ("mori graph", 113, "0f2399eaebdbb2e9af6a75d2d6f061b4", 545673098,
+        fun r -> edge_digest (Mori.graph_giant r ~p:0.5 ~m:3 ~n:200));
+      ("mori tree_conditioned", 114, "26a532f52b9d8a532efcd13c256252c6", 836404975,
+        fun r -> edge_digest (Mori.tree_conditioned r ~p:0.5 ~t:300 ~a:40 ~b:46));
+      ("cf generate", 115, "daa2972246d110ff7ba8e077c7d3335d", 560993089,
+        fun r -> edge_digest (Cooper_frieze.generate r Cooper_frieze.default ~steps:400));
+      ("cf generate_n_vertices", 116, "c91036a2f80ac273eb7316d8c83cbaa3", 191276258,
+        fun r -> edge_digest (Cooper_frieze.generate_n_vertices r cf_q ~n:400));
+      ("cf traced", 117,
+        "b74adbbe9a8eac53e888278fff79df38:6f3cbc871ae46e934544800aa0afdeea", 857125103,
+        fun r ->
+          let g, arrivals = Cooper_frieze.generate_n_vertices_traced r cf_q ~n:400 in
+          edge_digest g ^ ":" ^ Digest.to_hex (Digest.string (ints arrivals)));
+    ]
+  in
   List.iter
-    (fun (p, m, n, seed) ->
-      let legacy = Ugraph.of_digraph (Mori.graph (Rng.of_seed seed) ~p ~m ~n) in
-      let giant = Mori.graph_giant (Rng.of_seed seed) ~p ~m ~n in
-      Alcotest.(check bool)
-        (Printf.sprintf "p=%g m=%d n=%d identical" p m n)
-        true
-        (Sf_graph.Csr.equal (Ugraph.csr legacy) (Ugraph.csr giant)))
-    [ (0.5, 1, 100, 11); (0.5, 3, 64, 12); (0.9, 2, 500, 13); (0.1, 4, 25, 14); (1.0, 1, 50, 15) ]
-
-let test_mori_giant_fathers_match_tree () =
-  let seed = 21 and p = 0.7 and t = 400 in
-  let legacy = Mori.fathers (Mori.tree (Rng.of_seed seed) ~p ~t) in
-  let giant = Mori.tree_fathers (Rng.of_seed seed) ~p ~t in
-  Alcotest.(check int) "length" (t - 1) (Sf_graph.Bigvec.length giant);
-  Array.iteri
-    (fun i f -> Alcotest.(check int) "father" f (Sf_graph.Bigvec.get giant i))
-    legacy
-
-let test_mori_giant_rng_stream_position () =
-  (* after generation both shapes must leave the stream at the same
-     point — the corpus fingerprint/RNG-restore contract depends on a
-     deterministic number of draws *)
-  let rng_a = Rng.of_seed 31 and rng_b = Rng.of_seed 31 in
-  ignore (Mori.graph rng_a ~p:0.5 ~m:2 ~n:80);
-  ignore (Mori.graph_giant rng_b ~p:0.5 ~m:2 ~n:80);
-  Alcotest.(check int) "next draw agrees" (Rng.int rng_a 1_000_000) (Rng.int rng_b 1_000_000)
+    (fun (name, seed, digest, next, build) ->
+      let rng = Rng.of_seed seed in
+      Alcotest.(check string) (name ^ " edge sequence") digest (build rng);
+      Alcotest.(check int) (name ^ " next draw") next (Rng.int rng 1_000_000_000))
+    cases
 
 let test_cf_giant_structure () =
-  let g = Cooper_frieze.generate_n_vertices_giant (Rng.of_seed 41) Cooper_frieze.default ~n:800 in
+  let g = Cooper_frieze.generate_n_vertices (Rng.of_seed 41) Cooper_frieze.default ~n:800 in
   Alcotest.(check int) "vertex count" 800 (Ugraph.n_vertices g);
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (match Sf_graph.Csr.validate (Ugraph.csr g) with
@@ -146,68 +188,38 @@ let test_cf_giant_structure () =
   (* vertex 1's self-loop survives as edge 0 *)
   Alcotest.(check (pair int int)) "initial self-loop" (1, 1) (Ugraph.endpoints g 0)
 
-let test_cf_giant_samplewise_parity () =
-  (* the flat grower and the boxed API must be the SAME random
-     variable: same stream -> identical edge list, and the stream left
-     at the same point afterwards (the corpus RNG-restore contract) *)
-  let total =
-    {
-      Cooper_frieze.default with
-      Cooper_frieze.q = [ (1, 0.2); (2, 0.5); (4, 0.3) ];
-      preference = Cooper_frieze.Total_degree;
-    }
-  in
-  List.iter
-    (fun (label, params, alphas) ->
-      List.iter
-        (fun alpha ->
-          let params = { params with Cooper_frieze.alpha } in
-          for seed = 1 to 40 do
-            let n = 20 + (7 * seed) in
-            let rng_a = Rng.of_seed seed and rng_b = Rng.of_seed seed in
-            let boxed = Ugraph.of_digraph (Cooper_frieze.generate_n_vertices rng_a params ~n) in
-            let flat = Cooper_frieze.generate_n_vertices_giant rng_b params ~n in
-            let what = Printf.sprintf "%s alpha=%g seed=%d" label alpha seed in
-            Alcotest.(check bool) (what ^ " identical") true
-              (Sf_graph.Csr.equal (Ugraph.csr boxed) (Ugraph.csr flat));
-            Alcotest.(check int) (what ^ " next draw") (Rng.int rng_a 1_000_000)
-              (Rng.int rng_b 1_000_000)
-          done)
-        alphas)
-    [ ("default", Cooper_frieze.default, [ 0.5; 0.9 ]); ("total-degree q3", total, [ 0.3; 0.7 ]) ]
-
 let test_merge_properties () =
   let rng = Rng.of_seed 8 in
   let m = 3 and n = 40 in
   let tree = Mori.tree rng ~p:0.5 ~t:(n * m) in
   let merged = Mori.merge ~m tree in
-  Alcotest.(check int) "merged vertices" n (Digraph.n_vertices merged);
-  Alcotest.(check int) "edges preserved" (Digraph.n_edges tree) (Digraph.n_edges merged);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph merged));
+  Alcotest.(check int) "merged vertices" n (Ugraph.n_vertices merged);
+  Alcotest.(check int) "edges preserved" (Ugraph.n_edges tree) (Ugraph.n_edges merged);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected merged);
   (* every merged edge descends from a tree edge of the right blocks *)
   let group v = ((v - 1) / m) + 1 in
-  List.iter2
-    (fun te me ->
-      Alcotest.(check int) "src block" (group te.Digraph.src) me.Digraph.src;
-      Alcotest.(check int) "dst block" (group te.Digraph.dst) me.Digraph.dst)
-    (Digraph.edges tree) (Digraph.edges merged)
+  for id = 0 to Ugraph.n_edges tree - 1 do
+    let ts, td = Ugraph.endpoints tree id and ms, md = Ugraph.endpoints merged id in
+    Alcotest.(check int) "src block" (group ts) ms;
+    Alcotest.(check int) "dst block" (group td) md
+  done
 
 let test_merge_m1_is_identity () =
   let rng = Rng.of_seed 9 in
   let tree = Mori.tree rng ~p:0.5 ~t:30 in
   Alcotest.(check bool) "m=1 merge copies" true
-    (Digraph.equal_structure tree (Mori.merge ~m:1 tree))
+    (Sf_graph.Csr.equal (Ugraph.csr tree) (Ugraph.csr (Mori.merge ~m:1 tree)))
 
 let test_mori_graph_out_degree () =
   let rng = Rng.of_seed 10 in
-  let g = Mori.graph rng ~p:0.7 ~m:4 ~n:50 in
-  Alcotest.(check int) "vertices" 50 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" ((50 * 4) - 1) (Digraph.n_edges g);
+  let g = Mori.graph_giant rng ~p:0.7 ~m:4 ~n:50 in
+  Alcotest.(check int) "vertices" 50 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" ((50 * 4) - 1) (Ugraph.n_edges g);
   (* every merged vertex except the first has out-degree exactly m *)
   for v = 2 to 50 do
-    Alcotest.(check int) "out degree m" 4 (Digraph.out_degree g v)
+    Alcotest.(check int) "out degree m" 4 (Ugraph.out_degree g v)
   done;
-  Alcotest.(check int) "first block out degree m-1" 3 (Digraph.out_degree g 1)
+  Alcotest.(check int) "first block out degree m-1" 3 (Ugraph.out_degree g 1)
 
 let test_mori_validation () =
   let rng = Rng.of_seed 11 in
@@ -233,8 +245,8 @@ let test_mori_degree_exponent_recovery () =
   let fitted p =
     List.map
       (fun seed ->
-        let u = Mori.tree_giant (Rng.of_seed seed) ~p ~t in
-        (Sf_stats.Power_law.fit_scan (Metrics.u_in_degrees u) ()).Sf_stats.Power_law.alpha)
+        let u = Mori.tree (Rng.of_seed seed) ~p ~t in
+        (Sf_stats.Power_law.fit_scan (Metrics.in_degrees u) ()).Sf_stats.Power_law.alpha)
       [ 1; 2; 3; 4 ]
   in
   let check p ~tol =
@@ -257,11 +269,11 @@ let test_mori_degree_exponent_recovery () =
 let test_ba_shape () =
   let rng = Rng.of_seed 12 in
   let g = Sf_gen.Barabasi_albert.generate rng ~n:200 ~m:3 in
-  Alcotest.(check int) "vertices" 200 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" (1 + (198 * 3)) (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "vertices" 200 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" (1 + (198 * 3)) (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   for v = 3 to 200 do
-    Alcotest.(check int) "m out-edges" 3 (Digraph.out_degree g v)
+    Alcotest.(check int) "m out-edges" 3 (Ugraph.out_degree g v)
   done
 
 let test_ba_rich_get_richer () =
@@ -287,34 +299,34 @@ let test_cf_validation () =
 let test_cf_growth_and_connectivity () =
   let rng = Rng.of_seed 14 in
   let g = Cooper_frieze.generate_n_vertices rng Cooper_frieze.default ~n:300 in
-  Alcotest.(check int) "vertex count" 300 (Digraph.n_vertices g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g))
+  Alcotest.(check int) "vertex count" 300 (Ugraph.n_vertices g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g)
 
 let test_cf_steps_count () =
   let rng = Rng.of_seed 15 in
   let g = Cooper_frieze.generate rng Cooper_frieze.default ~steps:500 in
   (* each NEW step adds one vertex; alpha = 1/2 so roughly 250 + 1 *)
-  let n = Digraph.n_vertices g in
+  let n = Ugraph.n_vertices g in
   Alcotest.(check bool) "plausible vertex count" true (n > 180 && n < 320);
   (* edges: every step adds >= 1 edge, plus the initial loop *)
-  Alcotest.(check bool) "edges >= steps" true (Digraph.n_edges g >= 501)
+  Alcotest.(check bool) "edges >= steps" true (Ugraph.n_edges g >= 501)
 
 let test_cf_alpha1_only_new () =
   let rng = Rng.of_seed 16 in
   let params = { Cooper_frieze.default with Cooper_frieze.alpha = 1.0 } in
   let g = Cooper_frieze.generate rng params ~steps:100 in
-  Alcotest.(check int) "every step adds a vertex" 101 (Digraph.n_vertices g)
+  Alcotest.(check int) "every step adds a vertex" 101 (Ugraph.n_vertices g)
 
 let test_cf_traced_arrival_degrees () =
   let rng = Rng.of_seed 17 in
   let g, arrival = Cooper_frieze.generate_n_vertices_traced rng Cooper_frieze.default ~n:200 in
-  Alcotest.(check int) "arrival array size" (Digraph.n_vertices g) (Array.length arrival);
+  Alcotest.(check int) "arrival array size" (Ugraph.n_vertices g) (Array.length arrival);
   Alcotest.(check int) "vertex 1 born with the loop" 1 arrival.(0);
   let support = List.map fst Cooper_frieze.default.Cooper_frieze.q in
-  for v = 2 to Digraph.n_vertices g do
+  for v = 2 to Ugraph.n_vertices g do
     Alcotest.(check bool) "arrival degree in q's support" true (List.mem arrival.(v - 1) support);
     Alcotest.(check bool) "final out-degree >= arrival" true
-      (Digraph.out_degree g v >= arrival.(v - 1))
+      (Ugraph.out_degree g v >= arrival.(v - 1))
   done
 
 let test_cf_total_degree_mode () =
@@ -322,7 +334,7 @@ let test_cf_total_degree_mode () =
   let params = { Cooper_frieze.default with Cooper_frieze.preference = Cooper_frieze.Total_degree } in
   let g = Cooper_frieze.generate_n_vertices rng params ~n:200 in
   Alcotest.(check bool) "connected in total-degree mode" true
-    (Traversal.is_connected (Ugraph.of_digraph g))
+    (Traversal.is_connected g)
 
 let test_cf_mean_out_degree () =
   Alcotest.(check (float 1e-9)) "mean of default q" 1.5
@@ -334,9 +346,10 @@ let test_config_degree_sequence_exact () =
   let rng = Rng.of_seed 19 in
   let deg = [| 3; 2; 2; 1; 1; 1 |] in
   let g = Config_model.of_degree_sequence rng deg in
-  Alcotest.(check int) "edges = sum/2" 5 (Digraph.n_edges g);
+  Alcotest.(check int) "edges = sum/2" 5 (Ugraph.n_edges g);
   Array.iteri
-    (fun i d -> Alcotest.(check int) (Printf.sprintf "degree of %d" (i + 1)) d (Digraph.degree g (i + 1)))
+    (fun i d ->
+      Alcotest.(check int) (Printf.sprintf "degree of %d" (i + 1)) d (total_degree g (i + 1)))
     deg
 
 let test_config_rejects_odd_sum () =
@@ -352,19 +365,18 @@ let test_power_law_degrees () =
   Array.iter (fun d -> Alcotest.(check bool) "d >= d_min" true (d >= 2)) deg
 
 let test_simple_graph () =
-  let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 1); (1, 1); (2, 3) ] in
+  let g = Ugraph.of_edges ~n:3 [ (1, 2); (2, 1); (1, 1); (2, 3) ] in
   let s = Config_model.simple_graph g in
-  Alcotest.(check int) "loops and duplicates removed" 2 (Digraph.n_edges s);
+  Alcotest.(check int) "loops and duplicates removed" 2 (Ugraph.n_edges s);
   Alcotest.(check int) "no self loops" 0 (Metrics.self_loops s);
   Alcotest.(check int) "no parallel edges" 0 (Metrics.parallel_edges s)
 
 let test_searchable_power_law () =
   let rng = Rng.of_seed 22 in
-  let g = Config_model.searchable_power_law rng ~n:1500 ~exponent:2.3 () in
-  let u = Ugraph.of_digraph g in
+  let u = Config_model.searchable_power_law rng ~n:1500 ~exponent:2.3 () in
   Alcotest.(check bool) "connected" true (Traversal.is_connected u);
   Alcotest.(check bool) "giant component" true (Ugraph.n_vertices u > 1000);
-  Alcotest.(check int) "simple" 0 (Metrics.self_loops g + Metrics.parallel_edges g)
+  Alcotest.(check int) "simple" 0 (Metrics.self_loops u + Metrics.parallel_edges u)
 
 (* --- Kleinberg -------------------------------------------------------------- *)
 
@@ -392,18 +404,19 @@ let test_kleinberg_structure () =
   let g = t.Kleinberg.graph in
   Alcotest.(check int) "vertices" 64 (Kleinberg.n_vertices t);
   (* 2 lattice edges per vertex + 1 long-range each *)
-  Alcotest.(check int) "edges" (64 * 3) (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "edges" (64 * 3) (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (* long-range edges (the third out-edge of each vertex) never have
      lattice distance 0 *)
-  Digraph.iter_edges g (fun e ->
-      if e.Digraph.src <> e.Digraph.dst then ()
-      else Alcotest.fail "self-loop in Kleinberg graph")
+  for id = 0 to Ugraph.n_edges g - 1 do
+    let s, d = Ugraph.endpoints g id in
+    if s = d then Alcotest.fail "self-loop in Kleinberg graph"
+  done
 
 let test_kleinberg_q0 () =
   let rng = Rng.of_seed 24 in
   let t = Kleinberg.generate rng ~side:4 ~r:1. ~q:0 () in
-  Alcotest.(check int) "pure lattice edges" 32 (Digraph.n_edges t.Kleinberg.graph)
+  Alcotest.(check int) "pure lattice edges" 32 (Ugraph.n_edges t.Kleinberg.graph)
 
 let test_kleinberg_r0_uniform () =
   (* r = 0: long-range endpoints uniform; mean lattice distance of the
@@ -412,12 +425,14 @@ let test_kleinberg_r0_uniform () =
   let side = 10 in
   let t = Kleinberg.generate rng ~side ~r:0. ~q:1 () in
   let sum = ref 0 and count = ref 0 in
-  Digraph.iter_edges t.Kleinberg.graph (fun e ->
-      let d = Kleinberg.lattice_distance ~side e.Digraph.src e.Digraph.dst in
-      if d > 1 then begin
-        sum := !sum + d;
-        incr count
-      end);
+  for id = 0 to Ugraph.n_edges t.Kleinberg.graph - 1 do
+    let u, v = Ugraph.endpoints t.Kleinberg.graph id in
+    let d = Kleinberg.lattice_distance ~side u v in
+    if d > 1 then begin
+      sum := !sum + d;
+      incr count
+    end
+  done;
   let mean = float_of_int !sum /. float_of_int (max 1 !count) in
   Alcotest.(check bool) "long links reach far when r=0" true (mean > 3.5)
 
@@ -426,20 +441,18 @@ let test_kleinberg_r0_uniform () =
 let test_lcd_tree_shape () =
   let rng = Rng.of_seed 60 in
   let g = Sf_gen.Lcd.tree1 rng ~t:500 in
-  Alcotest.(check int) "vertices" 500 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 500 (Digraph.n_edges g);
+  Alcotest.(check int) "vertices" 500 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" 500 (Ugraph.n_edges g);
   (* vertex 1's only choice is itself *)
-  let e0 = Digraph.edge g 0 in
-  Alcotest.(check int) "first edge is the root loop (src)" 1 e0.Digraph.src;
-  Alcotest.(check int) "first edge is the root loop (dst)" 1 e0.Digraph.dst;
+  Alcotest.(check (pair int int)) "first edge is the root loop" (1, 1) (Ugraph.endpoints g 0);
   for k = 2 to 500 do
-    Alcotest.(check int) "one out-edge per vertex" 1 (Digraph.out_degree g k);
-    let e = Digraph.edge g (k - 1) in
-    Alcotest.(check bool) "attaches to an older-or-equal vertex" true (e.Digraph.dst <= k)
+    Alcotest.(check int) "one out-edge per vertex" 1 (Ugraph.out_degree g k);
+    Alcotest.(check bool) "attaches to an older-or-equal vertex" true
+      (snd (Ugraph.endpoints g (k - 1)) <= k)
   done;
   (* the m = 1 LCD graph is a forest: every self-loop roots a component *)
   let loops = Metrics.self_loops g in
-  let components = Array.length (Traversal.component_sizes (Ugraph.of_digraph g)) in
+  let components = Array.length (Traversal.component_sizes g) in
   Alcotest.(check int) "one component per self-loop" loops components
 
 let test_lcd_self_loop_rate () =
@@ -449,8 +462,7 @@ let test_lcd_self_loop_rate () =
   let loops = ref 0 in
   for _ = 1 to trials do
     let g = Sf_gen.Lcd.tree1 rng ~t:2 in
-    let e = Digraph.edge g 1 in
-    if e.Digraph.dst = 2 then incr loops
+    if snd (Ugraph.endpoints g 1) = 2 then incr loops
   done;
   let freq = float_of_int !loops /. float_of_int trials in
   Alcotest.(check bool)
@@ -461,8 +473,8 @@ let test_lcd_self_loop_rate () =
 let test_lcd_merged () =
   let rng = Rng.of_seed 62 in
   let g = Sf_gen.Lcd.generate rng ~n:100 ~m:3 in
-  Alcotest.(check int) "vertices" 100 (Digraph.n_vertices g);
-  Alcotest.(check int) "edges" 300 (Digraph.n_edges g)
+  Alcotest.(check int) "vertices" 100 (Ugraph.n_vertices g);
+  Alcotest.(check int) "edges" 300 (Ugraph.n_edges g)
 
 let test_lcd_hub_growth () =
   (* total-degree preferential attachment: max degree ~ sqrt(t), so it
@@ -478,8 +490,8 @@ let test_lcd_hub_growth () =
 let test_uniform_attachment_tree () =
   let rng = Rng.of_seed 26 in
   let g = Sf_gen.Uniform_attachment.tree rng ~t:300 in
-  Alcotest.(check int) "edges" 299 (Digraph.n_edges g);
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check int) "edges" 299 (Ugraph.n_edges g);
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (* uniform attachment has geometric-ish indegree: max degree should
      stay tiny compared to preferential attachment *)
   Alcotest.(check bool) "no giant hub" true (Metrics.max_in_degree g < 30)
@@ -487,12 +499,12 @@ let test_uniform_attachment_tree () =
 let test_uniform_attachment_graph () =
   let rng = Rng.of_seed 27 in
   let g = Sf_gen.Uniform_attachment.graph rng ~n:100 ~m:2 in
-  Alcotest.(check int) "edges" (1 + (98 * 2)) (Digraph.n_edges g)
+  Alcotest.(check int) "edges" (1 + (98 * 2)) (Ugraph.n_edges g)
 
 let test_gnm () =
   let rng = Rng.of_seed 28 in
   let g = Sf_gen.Erdos_renyi.gnm rng ~n:50 ~m:100 in
-  Alcotest.(check int) "edge count exact" 100 (Digraph.n_edges g);
+  Alcotest.(check int) "edge count exact" 100 (Ugraph.n_edges g);
   Alcotest.(check int) "no loops" 0 (Metrics.self_loops g);
   Alcotest.(check int) "no duplicates" 0 (Metrics.parallel_edges g);
   Alcotest.check_raises "too many edges"
@@ -505,7 +517,7 @@ let test_gnp_mean_edges () =
   let total = ref 0 in
   let reps = 200 in
   for _ = 1 to reps do
-    total := !total + Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n ~p)
+    total := !total + Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n ~p)
   done;
   let mean = float_of_int !total /. float_of_int reps in
   let expected = float_of_int (n * (n - 1) / 2) *. p in
@@ -513,8 +525,8 @@ let test_gnp_mean_edges () =
     (Printf.sprintf "gnp edge mean %.1f vs %.1f" mean expected)
     true
     (Float.abs (mean -. expected) /. expected < 0.05);
-  Alcotest.(check int) "gnp p=0 empty" 0 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:0.));
-  Alcotest.(check int) "gnp p=1 complete" 45 (Digraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:1.))
+  Alcotest.(check int) "gnp p=0 empty" 0 (Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:0.));
+  Alcotest.(check int) "gnp p=1 complete" 45 (Ugraph.n_edges (Sf_gen.Erdos_renyi.gnp rng ~n:10 ~p:1.))
 
 (* --- Watts–Strogatz -------------------------------------------------------------- *)
 
@@ -522,20 +534,20 @@ let test_ws_beta0_is_ring_lattice () =
   let rng = Rng.of_seed 70 in
   let n = 30 and k = 4 in
   let g = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0. in
-  Alcotest.(check int) "edges nk/2" (n * k / 2) (Digraph.n_edges g);
+  Alcotest.(check int) "edges nk/2" (n * k / 2) (Ugraph.n_edges g);
   (* every vertex has total degree exactly k, and neighbours are the
      nearest ring positions *)
   for v = 1 to n do
-    Alcotest.(check int) (Printf.sprintf "degree of %d" v) k (Digraph.degree g v)
+    Alcotest.(check int) (Printf.sprintf "degree of %d" v) k (total_degree g v)
   done;
-  Alcotest.(check bool) "connected" true (Traversal.is_connected (Ugraph.of_digraph g));
+  Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   Alcotest.(check int) "no rewiring: zero parallel edges" 0 (Metrics.parallel_edges g)
 
 let test_ws_rewired_properties () =
   let rng = Rng.of_seed 71 in
   let n = 500 and k = 6 in
   let g = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0.2 in
-  Alcotest.(check int) "edge count preserved" (n * k / 2) (Digraph.n_edges g);
+  Alcotest.(check int) "edge count preserved" (n * k / 2) (Ugraph.n_edges g);
   Alcotest.(check int) "simple (no loops)" 0 (Metrics.self_loops g);
   Alcotest.(check int) "simple (no duplicates)" 0 (Metrics.parallel_edges g);
   (* no hubs: max degree stays near k *)
@@ -547,8 +559,8 @@ let test_ws_small_world_shortcut_effect () =
   let n = 400 and k = 4 in
   let ring = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0. in
   let sw = Sf_gen.Watts_strogatz.generate rng ~n ~k ~beta:0.1 in
-  let d_ring = Traversal.diameter_double_sweep (Ugraph.of_digraph ring) rng in
-  let d_sw = Traversal.diameter_double_sweep (Ugraph.of_digraph sw) rng in
+  let d_ring = Traversal.diameter_double_sweep ring rng in
+  let d_sw = Traversal.diameter_double_sweep sw rng in
   Alcotest.(check bool)
     (Printf.sprintf "shortcuts shrink the world (%d < %d / 3)" d_sw d_ring)
     true
@@ -571,13 +583,13 @@ let prop_mori_tree_invariants =
         Gen.(triple (int_bound 100_000) (int_range 2 300) (float_range 0.05 1.0)))
     (fun (seed, t, p) ->
       let g = Mori.tree (Rng.of_seed seed) ~p ~t in
-      Digraph.n_edges g = t - 1
+      Ugraph.n_edges g = t - 1
       && (let ok = ref true in
           for k = 2 to t do
             if Mori.father g k >= k then ok := false
           done;
           !ok)
-      && Traversal.is_connected (Ugraph.of_digraph g))
+      && Traversal.is_connected g)
 
 let prop_config_model_degrees =
   QCheck.Test.make ~name:"configuration model realises its sequence" ~count:60
@@ -592,7 +604,7 @@ let prop_config_model_degrees =
       if total mod 2 = 1 then deg.(0) <- deg.(0) + 1;
       let g = Config_model.of_degree_sequence (Rng.of_seed seed) deg in
       Array.for_all
-        (fun i -> Digraph.degree g (i + 1) = deg.(i))
+        (fun i -> total_degree g (i + 1) = deg.(i))
         (Array.init (Array.length deg) Fun.id))
 
 let prop_cf_always_connected =
@@ -604,7 +616,7 @@ let prop_cf_always_connected =
     (fun (seed, n, alpha) ->
       let params = { Cooper_frieze.default with Cooper_frieze.alpha } in
       let g = Cooper_frieze.generate_n_vertices (Rng.of_seed seed) params ~n in
-      Traversal.is_connected (Ugraph.of_digraph g))
+      Traversal.is_connected g)
 
 let prop_mori_giant_parity =
   QCheck.Test.make ~name:"Mori giant engine samplewise equals legacy" ~count:40
@@ -614,7 +626,9 @@ let prop_mori_giant_parity =
         Gen.(
           quad (int_bound 100_000) (float_range 0.05 1.0) (int_range 1 4) (int_range 2 120)))
     (fun (seed, p, m, n) ->
-      let legacy = Ugraph.of_digraph (Mori.graph (Rng.of_seed seed) ~p ~m ~n) in
+      (* the definitional construction: grow the tree on n·m vertices,
+         then merge blocks of m — graph_giant skips the tree *)
+      let legacy = Mori.merge ~m (Mori.tree (Rng.of_seed seed) ~p ~t:(n * m)) in
       let giant = Mori.graph_giant (Rng.of_seed seed) ~p ~m ~n in
       Sf_graph.Csr.equal (Ugraph.csr legacy) (Ugraph.csr giant))
 
@@ -627,11 +641,8 @@ let suite =
     ("mori fathers accessor", `Quick, test_mori_fathers_accessor);
     ("mori conditioned event", `Quick, test_mori_conditioned_respects_event);
     ("mori conditioned law", `Slow, test_mori_conditioned_matches_conditional_law);
-    ("mori giant parity", `Quick, test_mori_giant_samplewise_parity);
-    ("mori giant fathers", `Quick, test_mori_giant_fathers_match_tree);
-    ("mori giant stream position", `Quick, test_mori_giant_rng_stream_position);
+    ("generators pinned", `Quick, test_generators_pinned);
     ("CF giant structure", `Quick, test_cf_giant_structure);
-    ("CF giant parity", `Quick, test_cf_giant_samplewise_parity);
     ("merge properties", `Quick, test_merge_properties);
     ("merge m=1 identity", `Quick, test_merge_m1_is_identity);
     ("mori graph out-degrees", `Quick, test_mori_graph_out_degree);

@@ -12,7 +12,6 @@ module Crc32 = Sf_store.Crc32
 module Cache = Sf_store.Cache
 module Corpus = Sf_store.Corpus
 module Fingerprint = Sf_store.Fingerprint
-module Digraph = Sf_graph.Digraph
 module Ugraph = Sf_graph.Ugraph
 module Rng = Sf_prng.Rng
 module Registry = Sf_obs.Registry
@@ -50,9 +49,8 @@ let with_cache body =
       Fun.protect ~finally:(fun () -> Cache.close cache) (fun () -> body dir cache))
 
 (* exact equality: same vertices and the same (id, src, dst) sequence
-   — stronger than Digraph.equal_structure, which ignores order *)
-let same_graph a b =
-  Digraph.n_vertices a = Digraph.n_vertices b && Digraph.edges a = Digraph.edges b
+   — stronger than equal canonical keys, which ignore order *)
+let same_graph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
 
 let check_same_graph what a b =
   Alcotest.(check bool) (what ^ ": exact round trip") true (same_graph a b)
@@ -106,27 +104,26 @@ let test_crc32_known_value () =
 (* ---------------------------------------------------------------- *)
 
 let test_codec_small_graphs () =
-  let empty = Digraph.create () in
+  let empty = Ugraph.of_edges ~n:0 [] in
   check_same_graph "empty" empty (Codec.decode (Codec.encode empty));
-  let single = Digraph.of_edges ~n:1 [] in
+  let single = Ugraph.of_edges ~n:1 [] in
   check_same_graph "single vertex" single (Codec.decode (Codec.encode single));
-  let loops = Digraph.of_edges ~n:3 [ (1, 1); (1, 2); (1, 2); (3, 1); (2, 2) ] in
+  let loops = Ugraph.of_edges ~n:3 [ (1, 1); (1, 2); (1, 2); (3, 1); (2, 2) ] in
   check_same_graph "loops and parallels" loops (Codec.decode (Codec.encode loops))
 
 let test_codec_preserves_insertion_order () =
   (* edges 'out of source order' force the permutation section: vertex
      1 gains an edge after vertex 3 already has one *)
-  let g = Digraph.of_edges ~n:3 [ (3, 1); (1, 2); (2, 3); (1, 3) ] in
+  let g = Ugraph.of_edges ~n:3 [ (3, 1); (1, 2); (2, 3); (1, 3) ] in
   let g' = Codec.decode (Codec.encode g) in
   check_same_graph "non-monotone insertion order" g g';
   Alcotest.(check bool)
     "edge ids double as timestamps" true
-    (List.map (fun e -> (e.Digraph.id, e.Digraph.src, e.Digraph.dst)) (Digraph.edges g')
-    = [ (0, 3, 1); (1, 1, 2); (2, 2, 3); (3, 1, 3) ])
+    (List.init (Ugraph.n_edges g') (Ugraph.endpoints g') = [ (3, 1); (1, 2); (2, 3); (1, 3) ])
 
 let random_model_graph rng =
   match Rng.int rng 3 with
-  | 0 -> Sf_gen.Mori.graph rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60)
+  | 0 -> Sf_gen.Mori.graph_giant rng ~p:0.6 ~m:(1 + Rng.int rng 3) ~n:(2 + Rng.int rng 60)
   | 1 ->
     Sf_gen.Cooper_frieze.generate_n_vertices rng Sf_gen.Cooper_frieze.default
       ~n:(2 + Rng.int rng 60)
@@ -144,8 +141,7 @@ let qcheck_roundtrip =
       (* structural equality plus a search replay: the decoded graph
          must drive a search to the same outcome from the same
          stream *)
-      let search graph =
-        let u = Ugraph.of_digraph graph in
+      let search u =
         let n = Ugraph.n_vertices u in
         Sf_search.Runner.search ~budget:(4 * n) ~rng:(Rng.of_seed (seed + 1)) u
           Sf_search.Strategies.high_degree ~source:1 ~target:n
@@ -158,12 +154,13 @@ let qcheck_ugraph_roundtrip =
     (fun seed ->
       let rng = Rng.of_seed seed in
       let g = random_model_graph rng in
-      let u = Ugraph.of_digraph g in
-      let u' = Codec.decode_ugraph (Codec.encode_ugraph u) in
-      Ugraph.n_vertices u = Ugraph.n_vertices u'
-      && Ugraph.n_edges u = Ugraph.n_edges u'
-      && List.init (Ugraph.n_edges u) (fun i -> Ugraph.endpoints u i)
-         = List.init (Ugraph.n_edges u') (fun i -> Ugraph.endpoints u' i))
+      (* the v1 encoder reads a file-backed (mmapped SFGB-v2) graph
+         exactly as it reads a freshly grown one *)
+      with_temp_dir (fun dir ->
+          let path = Filename.concat dir "g.sfg" in
+          Csr_codec.write_ugraph_file g ~path;
+          let mapped = Csr_codec.map_ugraph_file ~path () in
+          same_graph g (Codec.decode (Codec.encode mapped))))
 
 (* ---------------------------------------------------------------- *)
 (* Decode strictness                                                 *)
@@ -171,20 +168,20 @@ let qcheck_ugraph_roundtrip =
 
 let expect_codec_error what thunk =
   match thunk () with
-  | (_ : Digraph.t) -> Alcotest.failf "%s: decode accepted malformed input" what
+  | (_ : Ugraph.t) -> Alcotest.failf "%s: decode accepted malformed input" what
   | exception Codec_error.Error _ -> ()
 
 let test_decode_rejects_basics () =
   expect_codec_error "empty" (fun () -> Codec.decode "");
   expect_codec_error "bad magic" (fun () -> Codec.decode "NOPE\x01\x00\x00\x00");
-  let good = Codec.encode (Digraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ]) in
+  let good = Codec.encode (Ugraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ]) in
   let bumped = Bytes.of_string good in
   Bytes.set bumped 4 '\x7f';
   expect_codec_error "unsupported version" (fun () -> Codec.decode (Bytes.to_string bumped));
   expect_codec_error "trailing garbage" (fun () -> Codec.decode (good ^ "\x00"))
 
 let test_decode_rejects_truncations () =
-  let good = Codec.encode (Digraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5); (5, 1) ]) in
+  let good = Codec.encode (Ugraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5); (5, 1) ]) in
   for len = 0 to String.length good - 1 do
     expect_codec_error
       (Printf.sprintf "truncation to %d bytes" len)
@@ -193,7 +190,7 @@ let test_decode_rejects_truncations () =
 
 let test_decode_rejects_bit_flips () =
   let rng = Rng.of_seed 99 in
-  let g = Sf_gen.Mori.graph rng ~p:0.5 ~m:2 ~n:40 in
+  let g = Sf_gen.Mori.graph_giant rng ~p:0.5 ~m:2 ~n:40 in
   let good = Codec.encode g in
   String.iteri
     (fun i _ ->
@@ -205,22 +202,23 @@ let test_decode_rejects_bit_flips () =
         (fun () -> Codec.decode (Bytes.to_string mutated)))
     good
 
+(* A v1 file and an edge list both read back through the one loader,
+   which picks the branch from the file's first bytes. *)
 let test_read_any_file_dispatch () =
   with_temp_dir (fun dir ->
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+      let g = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
       let bin = Filename.concat dir "g.sfg" and txt = Filename.concat dir "g.edges" in
       Codec.write_graph_file g ~path:bin;
       Sf_graph.Gio.write_edge_list g ~path:txt;
-      check_same_graph "binary branch" g (Codec.read_any_file ~path:bin);
-      check_same_graph "edge-list branch" g (Codec.read_any_file ~path:txt);
-      Alcotest.(check bool) "sniff" true (Codec.looks_binary (Codec.encode g));
-      Alcotest.(check bool) "edge lists do not sniff binary" false (Codec.looks_binary "3 2\n"))
+      check_same_graph "binary branch" g (Csr_codec.load_ugraph ~path:bin ());
+      check_same_graph "edge-list branch" g (Csr_codec.load_ugraph ~path:txt ());
+      Alcotest.(check (option int)) "sniff" (Some 1) (Csr_codec.sniff_version bin);
+      Alcotest.(check (option int)) "edge lists do not sniff binary" None
+        (Csr_codec.sniff_version txt))
 
 (* ---------------------------------------------------------------- *)
 (* The giant container (SFGB v2)                                     *)
 (* ---------------------------------------------------------------- *)
-
-let same_ugraph a b = Sf_graph.Csr.equal (Ugraph.csr a) (Ugraph.csr b)
 
 let test_csr_codec_roundtrip () =
   with_temp_dir (fun dir ->
@@ -233,12 +231,12 @@ let test_csr_codec_roundtrip () =
            ~inc_len:(Bigarray.Array1.dim (Ugraph.csr u).Sf_graph.Csr.inc))
         (Unix.stat path).Unix.st_size;
       let mapped = Csr_codec.map_ugraph_file ~path () in
-      Alcotest.(check bool) "mapped graph identical" true (same_ugraph u mapped);
+      Alcotest.(check bool) "mapped graph identical" true (same_graph u mapped);
       (match Sf_graph.Csr.validate (Ugraph.csr mapped) with
       | Ok () -> ()
       | Error msg -> Alcotest.fail ("mapped CSR invalid: " ^ msg));
       let unverified = Csr_codec.map_ugraph_file ~verify:false ~path () in
-      Alcotest.(check bool) "verify:false agrees" true (same_ugraph u unverified);
+      Alcotest.(check bool) "verify:false agrees" true (same_graph u unverified);
       (* a mapped graph must drive searches exactly like the original *)
       let search g =
         Sf_search.Runner.search ~budget:600 ~rng:(Rng.of_seed 62) g
@@ -251,11 +249,11 @@ let qcheck_csr_codec_roundtrip =
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Rng.of_seed seed in
-      let u = Ugraph.of_digraph (random_model_graph rng) in
+      let u = random_model_graph rng in
       with_temp_dir (fun dir ->
           let path = Filename.concat dir "g.sfg" in
           Csr_codec.write_ugraph_file u ~path;
-          same_ugraph u (Csr_codec.map_ugraph_file ~path ())))
+          same_graph u (Csr_codec.map_ugraph_file ~path ())))
 
 let expect_csr_codec_error what thunk =
   match thunk () with
@@ -265,7 +263,7 @@ let expect_csr_codec_error what thunk =
 let test_csr_codec_rejects_truncations () =
   with_temp_dir (fun dir ->
       let path = Filename.concat dir "g.sfg" in
-      let u = Ugraph.of_digraph (Digraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5) ]) in
+      let u = Ugraph.of_edges ~n:5 [ (1, 2); (1, 3); (2, 4); (4, 5) ] in
       Csr_codec.write_ugraph_file u ~path;
       let good = In_channel.with_open_bin path In_channel.input_all in
       let cut = Filename.concat dir "cut.sfg" in
@@ -297,22 +295,38 @@ let test_csr_codec_rejects_bit_flips () =
 
 let test_load_ugraph_dispatch () =
   with_temp_dir (fun dir ->
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
-      let u = Ugraph.of_digraph g in
+      let u = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
       let v1 = Filename.concat dir "v1.sfg"
       and v2 = Filename.concat dir "v2.sfg"
       and txt = Filename.concat dir "g.edges" in
-      Codec.write_graph_file g ~path:v1;
+      Codec.write_graph_file u ~path:v1;
       Csr_codec.write_ugraph_file u ~path:v2;
-      Sf_graph.Gio.write_edge_list g ~path:txt;
+      Sf_graph.Gio.write_edge_list u ~path:txt;
       Alcotest.(check (option int)) "v1 sniffs 1" (Some 1) (Csr_codec.sniff_version v1);
       Alcotest.(check (option int)) "v2 sniffs 2" (Some 2) (Csr_codec.sniff_version v2);
       Alcotest.(check (option int)) "text sniffs none" None (Csr_codec.sniff_version txt);
       List.iter
         (fun (what, path) ->
           Alcotest.(check bool) (what ^ " loads identically") true
-            (same_ugraph u (Csr_codec.load_ugraph ~path ())))
-        [ ("v1", v1); ("v2", v2); ("edge list", txt) ])
+            (same_graph u (Csr_codec.load_ugraph ~path ())))
+        [ ("v1", v1); ("v2", v2); ("edge list", txt) ];
+      (* the three ways a --graph file can be bad, as the CLI tools
+         catch them *)
+      let truncated = Filename.concat dir "t.sfg" and bad = Filename.concat dir "bad.edges" in
+      Out_channel.with_open_bin truncated (fun oc ->
+          output_string oc (String.sub (In_channel.with_open_bin v2 In_channel.input_all) 0 40));
+      Out_channel.with_open_bin bad (fun oc -> output_string oc "3 2\n1 2\n");
+      (match Csr_codec.load_ugraph ~path:truncated () with
+      | _ -> Alcotest.fail "truncated v2 file loaded"
+      | exception Codec_error.Error _ -> ());
+      (match Csr_codec.load_ugraph ~path:bad () with
+      | _ -> Alcotest.fail "short edge list loaded"
+      | exception Failure msg ->
+        Alcotest.(check bool) "message names the file" true
+          (String.length msg > String.length bad && String.sub msg 0 (String.length bad) = bad));
+      match Csr_codec.load_ugraph ~path:(Filename.concat dir "missing.sfg") () with
+      | _ -> Alcotest.fail "missing file loaded"
+      | exception Sys_error _ -> ())
 
 (* ---------------------------------------------------------------- *)
 (* Fingerprints                                                      *)
@@ -357,11 +371,11 @@ let test_rng_token_roundtrip () =
 let test_cache_miss_then_hit () =
   with_cache (fun _dir cache ->
       let k = key ~n:4 () in
-      let g = Digraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ] in
+      let g = Ugraph.of_edges ~n:4 [ (1, 2); (2, 3); (3, 4) ] in
       let misses0 = Sf_obs.Counter.value c_miss and hits0 = Sf_obs.Counter.value c_hit in
       Alcotest.(check bool) "cold lookup misses" true (Cache.find cache k = None);
       Alcotest.(check int) "cache.miss ticked" (misses0 + 1) (Sf_obs.Counter.value c_miss);
-      Cache.add cache k ~graph:g ~target:4 ~rng_after:(String.make 64 'a');
+      Cache.add cache k ~graph:g ~target:4 ~rng_after:(String.make 64 'a') ~format:`V1;
       (match Cache.find cache k with
       | None -> Alcotest.fail "warm lookup missed"
       | Some (g', e) ->
@@ -374,9 +388,9 @@ let test_cache_miss_then_hit () =
 let test_cache_persists_across_reopen () =
   with_temp_dir (fun dir ->
       let k = key ~n:3 () in
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (1, 3) ] in
+      let g = Ugraph.of_edges ~n:3 [ (1, 2); (1, 3) ] in
       let cache = Cache.open_dir dir in
-      Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'b');
+      Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'b') ~format:`V1;
       Cache.close cache;
       let cache = Cache.open_dir dir in
       Fun.protect
@@ -388,10 +402,12 @@ let test_cache_persists_across_reopen () =
 
 let test_cache_lru_eviction () =
   with_cache (fun _dir cache ->
-      let graph i = Digraph.of_edges ~n:(i + 2) [ (1, 2); (2, i + 2) ] in
+      let graph i = Ugraph.of_edges ~n:(i + 2) [ (1, 2); (2, i + 2) ] in
       let keys = List.init 4 (fun i -> key ~n:(i + 2) ~params:[ ("i", string_of_int i) ] ()) in
       List.iteri
-        (fun i k -> Cache.add cache k ~graph:(graph i) ~target:1 ~rng_after:(String.make 64 'c'))
+        (fun i k ->
+          Cache.add cache k ~graph:(graph i) ~target:1 ~rng_after:(String.make 64 'c')
+            ~format:`V1)
         keys;
       (* touch entry 0: it becomes most recently used and must survive
          an eviction that removes two entries *)
@@ -415,8 +431,8 @@ let test_cache_lru_eviction () =
 let test_cache_corrupt_fallback () =
   with_cache (fun dir cache ->
       let k = key ~n:5 () in
-      let g = Digraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
-      Cache.add cache k ~graph:g ~target:5 ~rng_after:(String.make 64 'd');
+      let g = Ugraph.of_edges ~n:5 [ (1, 2); (2, 3); (3, 4); (4, 5) ] in
+      Cache.add cache k ~graph:g ~target:5 ~rng_after:(String.make 64 'd') ~format:`V1;
       (* flip one payload byte on disk: the checksum must catch it *)
       let path = Filename.concat (Filename.concat dir "objects") (Fingerprint.hex k ^ ".sfg") in
       let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
@@ -428,15 +444,15 @@ let test_cache_corrupt_fallback () =
       Alcotest.(check bool) "entry evicted" false (Cache.mem cache k);
       Alcotest.(check bool) "object file removed" false (Sys.file_exists path);
       (* the protocol recovers: re-add and hit *)
-      Cache.add cache k ~graph:g ~target:5 ~rng_after:(String.make 64 'd');
+      Cache.add cache k ~graph:g ~target:5 ~rng_after:(String.make 64 'd') ~format:`V1;
       Alcotest.(check bool) "regenerated entry hits" true (Cache.find cache k <> None))
 
 let test_cache_verify_reports_corruption () =
   with_cache (fun dir cache ->
       let k1 = key ~n:2 ~params:[ ("i", "1") ] () and k2 = key ~n:2 ~params:[ ("i", "2") ] () in
-      let g = Digraph.of_edges ~n:2 [ (1, 2) ] in
-      Cache.add cache k1 ~graph:g ~target:1 ~rng_after:(String.make 64 'e');
-      Cache.add cache k2 ~graph:g ~target:1 ~rng_after:(String.make 64 'e');
+      let g = Ugraph.of_edges ~n:2 [ (1, 2) ] in
+      Cache.add cache k1 ~graph:g ~target:1 ~rng_after:(String.make 64 'e') ~format:`V1;
+      Cache.add cache k2 ~graph:g ~target:1 ~rng_after:(String.make 64 'e') ~format:`V1;
       let path = Filename.concat (Filename.concat dir "objects") (Fingerprint.hex k2 ^ ".sfg") in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "SFGB");
       let bad =
@@ -450,9 +466,9 @@ let test_cache_verify_reports_corruption () =
 let test_cache_tolerates_index_garbage () =
   with_temp_dir (fun dir ->
       let k = key ~n:3 () in
-      let g = Digraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
+      let g = Ugraph.of_edges ~n:3 [ (1, 2); (2, 3) ] in
       let cache = Cache.open_dir dir in
-      Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'f');
+      Cache.add cache k ~graph:g ~target:3 ~rng_after:(String.make 64 'f') ~format:`V1;
       Cache.close cache;
       let index = Filename.concat dir "index.jsonl" in
       let oc = open_out_gen [ Open_append ] 0o644 index in
@@ -471,11 +487,11 @@ let test_cache_ugraph_both_containers () =
       let u = Sf_gen.Mori.graph_giant (Rng.of_seed 71) ~p:0.6 ~m:2 ~n:80 in
       List.iter
         (fun (what, format, k) ->
-          Cache.add_ugraph cache k ~graph:u ~target:5 ~rng_after:(String.make 64 'a') ~format;
-          match Cache.find_ugraph cache k with
+          Cache.add cache k ~graph:u ~target:5 ~rng_after:(String.make 64 'a') ~format;
+          match Cache.find cache k with
           | None -> Alcotest.failf "%s: stored object missed" what
           | Some (u', e) ->
-            Alcotest.(check bool) (what ^ ": identical graph") true (same_ugraph u u');
+            Alcotest.(check bool) (what ^ ": identical graph") true (same_graph u u');
             Alcotest.(check int) (what ^ ": target kept") 5 e.Cache.target)
         [ ("v1", `V1, key ~n:80 ()); ("v2", `V2, key ~n:81 ()) ];
       (* verify covers both containers in one sweep *)
@@ -495,8 +511,8 @@ let test_cache_ugraph_both_containers () =
       Alcotest.(check bool) "verify flags the corrupt v2 object" true
         (List.exists (fun (_, s) -> Result.is_error s) (Cache.verify cache));
       let corrupt0 = Sf_obs.Counter.value c_corrupt in
-      Alcotest.(check bool) "find_ugraph reports a miss" true
-        (Cache.find_ugraph cache (key ~n:81 ()) = None);
+      Alcotest.(check bool) "find reports a miss" true
+        (Cache.find cache (key ~n:81 ()) = None);
       Alcotest.(check bool) "corrupt counter ticked" true
         (Sf_obs.Counter.value c_corrupt > corrupt0))
 
@@ -513,8 +529,8 @@ let counted_maker calls rng n =
   Corpus.instance ~gen:"count-test" ~params:[]
     (fun rng n ->
       incr calls;
-      let g = Sf_gen.Mori.graph rng ~p:0.6 ~m:1 ~n in
-      (Ugraph.of_digraph g, n))
+      let g = Sf_gen.Mori.graph_giant rng ~p:0.6 ~m:1 ~n in
+      (g, n))
     rng n
 
 let test_corpus_identity_when_unset () =
